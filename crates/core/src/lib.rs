@@ -144,6 +144,62 @@ struct CheckpointState {
     doc_index: Option<IvfState>,
 }
 
+/// One committed change to session state — the unit the session reducer
+/// ([`AllHands::apply`]) applies, whether it was just decided live or is
+/// being replayed from the journal.
+enum Delta {
+    /// Ingest batch `.0` (0-based ordinal), as its journaled delta record.
+    Batch(usize, IngestSnapshot),
+    /// The answer to question `.0` (0-based ordinal).
+    Answer(usize, AnswerRecord),
+}
+
+/// What applying one [`Delta`] produced.
+enum Applied {
+    Batch(IngestReport),
+    /// The re-rendered response, for replayed answers only.
+    Answer(Option<Response>),
+}
+
+/// The ordinal a journal key carries after its one-letter prefix:
+/// `b00042:…` → 42, `q1000:…` → 1000. Keys are written zero-padded
+/// (`b{:05}`, `q{:03}`), but the digits run up to the `:`, so ordinals
+/// wider than the padding parse in full.
+fn key_ordinal(key: &str, prefix: char) -> Option<usize> {
+    let (digits, _) = key.strip_prefix(prefix)?.split_once(':')?;
+    if digits.is_empty() || !digits.bytes().all(|b| b.is_ascii_digit()) {
+        return None;
+    }
+    digits.parse().ok()
+}
+
+/// Decode a journal entry into the session delta it commits, plus the
+/// resilience state recorded with it. `Ok(None)` for entries that carry no
+/// session delta (the run header, one-shot stage snapshots).
+fn decode_entry(
+    e: &allhands_journal::Entry,
+) -> Result<Option<(Delta, ResilienceSnapshot)>, String> {
+    let ordinal = |prefix| {
+        key_ordinal(&e.key, prefix).ok_or_else(|| format!("malformed {} key {:?}", e.stage, e.key))
+    };
+    match e.stage.as_str() {
+        "ingest" => {
+            let ord = ordinal('b')?;
+            let snap: IngestSnapshot = allhands_journal::decode(&e.payload)
+                .map_err(|err| format!("undecodable ingest delta: {err}"))?;
+            let resilience = snap.resilience.clone();
+            Ok(Some((Delta::Batch(ord, snap), resilience)))
+        }
+        "qa" => {
+            let ord = ordinal('q')?;
+            let snap: QaSnapshot = allhands_journal::decode(&e.payload)
+                .map_err(|err| format!("undecodable qa snapshot: {err}"))?;
+            Ok(Some((Delta::Answer(ord, snap.record), snap.resilience)))
+        }
+        _ => Ok(None),
+    }
+}
+
 fn jerr(e: JournalError) -> AllHandsError {
     match e {
         // A read-only trip is its own category: callers must be able to
@@ -440,7 +496,14 @@ impl AllHandsBuilder {
         labeled_sample: &[LabeledExample],
         predefined_topics: &[String],
     ) -> Result<(AllHands, DataFrame), AllHandsError> {
-        let recorder = self.options.recorder.build();
+        let run = Run {
+            tier: self.tier,
+            texts,
+            labeled_sample,
+            predefined_topics,
+            config: self.config,
+            recorder: self.options.recorder.build(),
+        };
         if self.options.bootstrap.is_some() && self.options.journal.is_none() {
             return Err(AllHandsError::Pipeline(
                 "bootstrap requires a journal: attach JournalMode::Continue(dir) (pointing at an empty directory) before bootstrap(bundle)"
@@ -473,19 +536,11 @@ impl AllHandsBuilder {
                         journal.checkpoints().len()
                     )));
                 }
-                journal.set_recorder(recorder.clone());
+                journal.set_recorder(run.recorder.clone());
                 if let Some(bundle) = &self.options.bootstrap {
                     journal.bootstrap_from(bundle).map_err(jerr)?;
                 }
-                journal
-                    .ensure_run(&run_fingerprint(
-                        self.tier,
-                        texts,
-                        labeled_sample,
-                        predefined_topics,
-                        &policy_digest(&self.config),
-                    ))
-                    .map_err(jerr)?;
+                journal.ensure_run(&run.fingerprint()).map_err(jerr)?;
                 Some(journal)
             }
         };
@@ -497,29 +552,12 @@ impl AllHandsBuilder {
         };
         let replica = self.options.replica;
         let built = match (recover, journal) {
-            (Some(point), Some(journal)) => AllHands::run_recovery(
-                self.tier,
-                texts,
-                labeled_sample,
-                predefined_topics,
-                self.config,
-                journal,
-                recorder,
-                point,
-            ),
+            (Some(point), Some(journal)) => run.recover(journal, point, replica),
             (Some(_), None) => Err(AllHandsError::Pipeline(
                 "recover requires a journal: attach JournalMode::Continue(dir) before recover_at / recover_latest"
                     .to_string(),
             )),
-            (None, journal) => AllHands::run_pipeline(
-                self.tier,
-                texts,
-                labeled_sample,
-                predefined_topics,
-                self.config,
-                journal,
-                recorder,
-            ),
+            (None, journal) => run.pipeline(journal),
         };
         built.map(|(mut ah, frame)| {
             ah.replica = replica;
@@ -532,29 +570,8 @@ impl AllHandsBuilder {
     /// this path (there is no pipeline run to journal); the recorder is.
     pub fn from_frame(self, frame: DataFrame) -> AllHands {
         let recorder = self.options.recorder.build();
-        let mut llm = SimLlm::new(ModelSpec::for_tier(self.tier));
-        llm.set_recorder(recorder.clone());
-        let mut agent = QaAgent::new(llm, frame, self.config.agent.clone());
-        let resilience = Arc::new(ResilienceCtx::with_recorder(
-            self.config.resilience,
-            recorder.clone(),
-        ));
-        agent.set_resilience(Arc::clone(&resilience));
-        AllHands {
-            tier: self.tier,
-            config: self.config,
-            agent,
-            resilience,
-            journal: None,
-            asked: 0,
-            answers: Vec::new(),
-            recorder,
-            qa_span: None,
-            ingest: None,
-            ingest_span: None,
-            replica: false,
-            reads_served: 0,
-        }
+        let resilience = resilience_ctx(&self.config, &recorder);
+        AllHands::assemble(self.tier, self.config, frame, resilience, None, recorder, None)
     }
 }
 
@@ -704,6 +721,55 @@ struct IngestState {
     batches: usize,
 }
 
+impl IngestState {
+    /// Retained state over already-structured rows. Sentiments are
+    /// recomputed from the texts; the demonstration pool, row-embedding
+    /// cache, document index and pending pool start empty.
+    fn new(
+        llm: SimLlm,
+        labeled_sample: &[LabeledExample],
+        texts: Vec<String>,
+        row_labels: Vec<String>,
+        doc_topics: Vec<Vec<String>>,
+        topic_list: Vec<String>,
+    ) -> Self {
+        IngestState {
+            llm,
+            labeled_sample: labeled_sample.to_vec(),
+            labels: distinct_labels(labeled_sample),
+            demos: None,
+            topic_list,
+            row_embeds: Vec::new(),
+            doc_index: None,
+            pending: Vec::new(),
+            sentiments: texts.iter().map(|t| estimate_sentiment(t)).collect(),
+            texts,
+            row_labels,
+            doc_topics,
+            batches: 0,
+        }
+    }
+
+    /// The structured feedback frame: one row per text. The one-shot
+    /// pipeline, checkpoint restore and every applied batch build it here,
+    /// so all produce byte-identical tables for the same rows.
+    fn frame(&self) -> Result<DataFrame, AllHandsError> {
+        let texts = &self.texts;
+        let frame = DataFrame::new(vec![
+            Column::from_i64s("id", &(0..texts.len() as i64).collect::<Vec<_>>()),
+            Column::from_strings("text", texts.to_vec()),
+            Column::from_strings("label", self.row_labels.to_vec()),
+            Column::from_f64s("sentiment", &self.sentiments),
+            Column::from_str_lists("topics", self.doc_topics.to_vec()),
+            Column::from_i64s(
+                "text_len",
+                &texts.iter().map(|t| t.chars().count() as i64).collect::<Vec<_>>(),
+            ),
+        ])?;
+        Ok(frame)
+    }
+}
+
 /// Automatic checkpoint cadence and retention, driven from
 /// [`AllHands::ingest`] on journaled runs. Disabled by default so
 /// un-checkpointed runs behave exactly as before (same journal contents,
@@ -782,52 +848,29 @@ pub struct AllHands {
     reads_served: usize,
 }
 
-impl AllHands {
-    /// Start building a run: pick a tier, then chain
-    /// [`config`](AllHandsBuilder::config), [`journal`](AllHandsBuilder::journal),
-    /// and [`recorder`](AllHandsBuilder::recorder) before calling
-    /// [`analyze`](AllHandsBuilder::analyze) (full pipeline) or
-    /// [`from_frame`](AllHandsBuilder::from_frame) (pre-structured data).
-    ///
-    /// The stages share one resilience context built from
-    /// [`AllHandsConfig::resilience`]: under fault injection, classification
-    /// falls back to a lexical prior, topic modeling skips refinement, and
-    /// the QA agent answers partially — the pipeline degrades rather than
-    /// failing, and every degradation is recorded on the context
-    /// ([`AllHands::resilience`]). Errors that cannot be degraded around
-    /// (e.g. inconsistent pipeline columns) are returned, never panicked.
-    ///
-    /// With [`JournalMode`] attached, each stage boundary is snapshotted to
-    /// a write-ahead journal; a run that crashed part-way replays committed
-    /// stages byte-identically on the next `Continue` run with the same
-    /// inputs (the journal header pins a content fingerprint — resuming
-    /// against different inputs is an error, never silent reuse). Later
-    /// [`ask`](AllHands::ask) calls are journaled too.
-    pub fn builder(tier: ModelTier) -> AllHandsBuilder {
-        AllHandsBuilder {
-            tier,
-            config: AllHandsConfig::default(),
-            options: AnalyzeOptions::default(),
-        }
+/// One pipeline run's inputs, shared by the fresh, resumed and recovered
+/// build paths.
+struct Run<'a> {
+    tier: ModelTier,
+    texts: &'a [String],
+    labeled_sample: &'a [LabeledExample],
+    predefined_topics: &'a [String],
+    config: AllHandsConfig,
+    recorder: Recorder,
+}
+
+impl Run<'_> {
+    /// The run fingerprint the journal header and checkpoints carry.
+    fn fingerprint(&self) -> String {
+        let policy = policy_digest(&self.config);
+        run_fingerprint(self.tier, self.texts, self.labeled_sample, self.predefined_topics, &policy)
     }
 
-    /// Build directly over an already-structured feedback frame (columns
-    /// like `text`, `sentiment`, `topics`, …). Use
-    /// [`AllHands::builder`]`.analyze(..)` to run the full structuralization
-    /// pipeline first.
-    pub fn from_frame(tier: ModelTier, frame: DataFrame, config: AllHandsConfig) -> Self {
-        Self::builder(tier).config(config).from_frame(frame)
-    }
-
-    fn run_pipeline(
-        tier: ModelTier,
-        texts: &[String],
-        labeled_sample: &[LabeledExample],
-        predefined_topics: &[String],
-        config: AllHandsConfig,
-        mut journal: Option<Journal>,
-        recorder: Recorder,
-    ) -> Result<(Self, DataFrame), AllHandsError> {
+    /// The one-shot pipeline: classify, model topics, structure the frame.
+    /// On a journaled run each stage boundary is snapshotted, and stages an
+    /// earlier run committed replay instead of recomputing.
+    fn pipeline(self, mut journal: Option<Journal>) -> Result<(AllHands, DataFrame), AllHandsError> {
+        let Run { tier, texts, labeled_sample, predefined_topics, config, recorder } = self;
         recorder.set_meta("tier", tier.name());
         recorder.set_meta("corpus_docs", &texts.len().to_string());
         recorder.set_meta("labeled_examples", &labeled_sample.len().to_string());
@@ -835,11 +878,7 @@ impl AllHands {
         let pipeline_span = recorder.span("pipeline");
         let mut llm = SimLlm::new(ModelSpec::for_tier(tier));
         llm.set_recorder(recorder.clone());
-        let llm = llm;
-        let resilience = Arc::new(ResilienceCtx::with_recorder(
-            config.resilience,
-            recorder.clone(),
-        ));
+        let resilience = resilience_ctx(&config, &recorder);
         if let Some(j) = &mut journal {
             // Checkpoint/compaction seams participate in the same seeded
             // crash schedule as the stage boundaries.
@@ -912,51 +951,20 @@ impl AllHands {
             }
         };
 
-        // Sentiment estimation: lexical valence via the text substrate.
-        let sentiments: Vec<f64> = texts.iter().map(|t| estimate_sentiment(t)).collect();
-
-        let frame = build_frame(texts, &predicted, &sentiments, &result.doc_topics)?;
-
-        let mut agent = QaAgent::new(
-            SimLlm::new(ModelSpec::for_tier(tier)),
-            frame.clone(),
-            config.agent.clone(),
-        );
-        agent.set_resilience(Arc::clone(&resilience));
-        let ingest = IngestState {
+        let mut ingest = IngestState::new(
             llm,
-            labeled_sample: labeled_sample.to_vec(),
-            labels,
-            demos: demo_index,
-            topic_list: result.topic_list,
-            row_embeds: Vec::new(),
-            doc_index: None,
-            pending: Vec::new(),
-            texts: texts.to_vec(),
-            row_labels: predicted,
-            sentiments,
-            doc_topics: result.doc_topics,
-            batches: 0,
-        };
+            labeled_sample,
+            texts.to_vec(),
+            predicted,
+            result.doc_topics,
+            result.topic_list,
+        );
+        ingest.demos = demo_index;
+        let frame = ingest.frame()?;
         drop(pipeline_span);
-        Ok((
-            AllHands {
-                tier,
-                config,
-                agent,
-                resilience,
-                journal,
-                asked: 0,
-                answers: Vec::new(),
-                recorder,
-                qa_span: None,
-                ingest: Some(ingest),
-                ingest_span: None,
-                replica: false,
-                reads_served: 0,
-            },
-            frame,
-        ))
+        let ah =
+            AllHands::assemble(tier, config, frame.clone(), resilience, journal, recorder, Some(ingest));
+        Ok((ah, frame))
     }
 
     /// Point-in-time recovery: restore the nearest checkpoint at or below
@@ -964,37 +972,31 @@ impl AllHands {
     /// Falls back to the ordinary pipeline path (which itself replays any
     /// surviving stage snapshots) when no usable checkpoint exists — a
     /// fully corrupt checkpoint set degrades, it never errors.
-    #[allow(clippy::too_many_arguments)]
-    fn run_recovery(
-        tier: ModelTier,
-        texts: &[String],
-        labeled_sample: &[LabeledExample],
-        predefined_topics: &[String],
-        config: AllHandsConfig,
+    fn recover(
+        self,
         journal: Journal,
-        recorder: Recorder,
         point: RecoverPoint,
-    ) -> Result<(Self, DataFrame), AllHandsError> {
-        // Catalogue the surviving ingest deltas by batch ordinal (the
-        // `b{idx:05}` key prefix); a later record for the same ordinal
-        // (possible after an overlapping resume) wins. Undecodable deltas
-        // are skipped, not fatal — recovery works from what is durable.
-        let mut deltas: std::collections::BTreeMap<usize, IngestSnapshot> =
-            std::collections::BTreeMap::new();
+        replica: bool,
+    ) -> Result<(AllHands, DataFrame), AllHandsError> {
+        // The surviving deltas, decoded in WAL order. A leader replays only
+        // ingest deltas here — its answers replay when the caller re-asks —
+        // but a replica never re-asks, so it takes its replicated answers
+        // too. Undecodable deltas are skipped, not fatal — recovery works
+        // from what is durable.
+        let mut log: Vec<(Delta, ResilienceSnapshot)> = Vec::new();
         for e in journal.entries() {
-            if e.stage != "ingest" {
+            if e.stage != "ingest" && !(replica && e.stage == "qa") {
                 continue;
             }
-            let Some(ord) = e.key.get(1..6).and_then(|s| s.parse::<usize>().ok()) else {
-                continue;
-            };
-            match allhands_journal::decode::<IngestSnapshot>(&e.payload) {
-                Ok(snap) => {
-                    deltas.insert(ord, snap);
-                }
-                Err(_) => recorder.incr("recover.undecodable_deltas"),
+            match decode_entry(e) {
+                Ok(delta) => log.extend(delta),
+                Err(_) => self.recorder.incr("recover.undecodable_deltas"),
             }
         }
+        let batch_ord = |d: &Delta| match d {
+            Delta::Batch(ord, _) => Some(*ord),
+            Delta::Answer(..) => None,
+        };
         // Decodable checkpoints stamped with this run's fingerprint, in
         // marker order. A checkpoint that no longer decodes (schema drift,
         // partial damage below the hash's radar) is skipped the same way a
@@ -1002,110 +1004,95 @@ impl AllHands {
         // checkpoint payloads carry the full session state, and only the one
         // actually restored should pay the decode — older siblings exist
         // purely as fallbacks.
-        let fp =
-            run_fingerprint(tier, texts, labeled_sample, predefined_topics, &policy_digest(&config));
+        let fp = self.fingerprint();
         let mut candidates: Vec<&allhands_journal::CheckpointRecord> = Vec::new();
         for c in journal.checkpoints() {
             if c.fingerprint != fp {
-                recorder.incr("recover.foreign_checkpoints");
+                self.recorder.incr("recover.foreign_checkpoints");
                 continue;
             }
             candidates.push(c);
         }
+        let rec = &self.recorder;
+        let newest_decodable = |upto: usize| {
+            candidates.iter().rev().filter(|c| c.marker as usize <= upto).find_map(|c| {
+                match allhands_journal::decode::<CheckpointState>(&c.payload) {
+                    Ok(state) => Some((c.marker, state)),
+                    Err(_) => {
+                        rec.incr("recover.undecodable_checkpoints");
+                        None
+                    }
+                }
+            })
+        };
         // Newest decodable checkpoint (walking back over drifted ones) —
         // its marker bounds what checkpoints alone can recover.
-        let mut newest: Option<(u64, CheckpointState)> = None;
-        for c in candidates.iter().rev() {
-            match allhands_journal::decode::<CheckpointState>(&c.payload) {
-                Ok(state) => {
-                    newest = Some((c.marker, state));
-                    break;
-                }
-                Err(_) => recorder.incr("recover.undecodable_checkpoints"),
-            }
-        }
+        let newest = newest_decodable(usize::MAX);
         let available = std::cmp::max(
-            deltas.keys().next_back().map_or(0, |&o| o + 1),
+            log.iter().filter_map(|(d, _)| batch_ord(d)).max().map_or(0, |o| o + 1),
             newest.as_ref().map_or(0, |&(m, _)| m as usize),
         );
         let target = match point {
             RecoverPoint::Latest => available,
-            RecoverPoint::Batch(k) => {
-                if k + 1 > available {
-                    return Err(AllHandsError::Pipeline(format!(
-                        "recover: batch {k} is beyond this journal's coverage \
-                         ({available} batch(es) recoverable)"
-                    )));
-                }
-                k + 1
+            RecoverPoint::Batch(k) if k >= available => {
+                return Err(AllHandsError::Pipeline(format!(
+                    "recover: batch {k} is beyond this journal's coverage \
+                     ({available} batch(es) recoverable)"
+                )));
             }
+            RecoverPoint::Batch(k) => k + 1,
         };
         // The newest decodable checkpoint serves unless the requested point
         // predates it; then walk further back, decoding only what the walk
-        // actually visits. (If nothing decoded above, every candidate was
-        // already tried — don't re-decode them here.)
-        let walk_back = newest.as_ref().is_some_and(|&(m, _)| m as usize > target);
-        let mut best = newest.filter(|&(m, _)| m as usize <= target);
-        if walk_back {
-            for c in candidates.iter().rev().filter(|c| c.marker as usize <= target) {
-                match allhands_journal::decode::<CheckpointState>(&c.payload) {
-                    Ok(state) => {
-                        best = Some((c.marker, state));
-                        break;
-                    }
-                    Err(_) => recorder.incr("recover.undecodable_checkpoints"),
-                }
+        // actually visits.
+        let best = match newest {
+            Some((m, _)) if m as usize > target => newest_decodable(target),
+            newest => newest,
+        };
+        let (mut ah, mut frame) = match best {
+            Some((marker, state)) => self.restore(journal, state, marker)?,
+            None => self.pipeline(Some(journal))?,
+        };
+        // Forward replay through the session reducer. A leader takes each
+        // batch's delta by ordinal (a later record for the same ordinal —
+        // possible after an overlapping resume — wins). A replica walks its
+        // WAL in order, the order `apply_tail` applied it in. Either way,
+        // deltas the restored state already covers are skipped, and replay
+        // stops at the target or at the first missing batch.
+        if !replica {
+            let by_ord: std::collections::BTreeMap<usize, (Delta, ResilienceSnapshot)> =
+                log.into_iter().filter_map(|e| Some((batch_ord(&e.0)?, e))).collect();
+            log = by_ord.into_values().collect();
+        }
+        for (delta, resilience) in log {
+            let batches = ah.ingested_batches();
+            match &delta {
+                Delta::Batch(ord, _) if *ord < batches => continue,
+                Delta::Batch(ord, _) if *ord > batches || *ord >= target => break,
+                Delta::Answer(ord, _) if *ord < ah.asked => continue,
+                _ => {}
+            }
+            ah.resilience.restore(&resilience);
+            if let Applied::Batch(report) = ah.apply(delta, true)? {
+                ah.recorder.incr("recover.delta_replays");
+                frame = report.frame;
             }
         }
-        let (mut ah, mut frame, mut applied) = match best {
-            Some((marker, state)) => {
-                let (ah, frame) = Self::restore_from_checkpoint(
-                    tier,
-                    config,
-                    journal,
-                    recorder,
-                    labeled_sample,
-                    state,
-                    marker,
-                )?;
-                (ah, frame, marker as usize)
+        let applied = ah.ingested_batches();
+        if applied < target {
+            if let RecoverPoint::Batch(_) = point {
+                return Err(AllHandsError::Pipeline(format!(
+                    "recover: no surviving delta record for batch {applied}; \
+                     nearest recoverable state holds {applied} batch(es)"
+                )));
             }
-            None => {
-                let (ah, frame) = Self::run_pipeline(
-                    tier,
-                    texts,
-                    labeled_sample,
-                    predefined_topics,
-                    config,
-                    Some(journal),
-                    recorder,
-                )?;
-                (ah, frame, 0)
-            }
-        };
-        while applied < target {
-            let Some(snap) = deltas.remove(&applied) else {
-                match point {
-                    RecoverPoint::Batch(_) => {
-                        return Err(AllHandsError::Pipeline(format!(
-                            "recover: no surviving delta record for batch {applied}; \
-                             nearest recoverable state holds {applied} batch(es)"
-                        )));
-                    }
-                    RecoverPoint::Latest => {
-                        ah.resilience.note_degradation(
-                            "recover",
-                            format!(
-                                "delta record for batch {applied} missing; \
-                                 recovered {applied} of {target} batch(es)"
-                            ),
-                        );
-                        break;
-                    }
-                }
-            };
-            frame = ah.replay_delta(applied, snap)?;
-            applied += 1;
+            ah.resilience.note_degradation(
+                "recover",
+                format!(
+                    "delta record for batch {applied} missing; \
+                     recovered {applied} of {target} batch(es)"
+                ),
+            );
         }
         ah.recorder.set_meta("recovered_batches", &applied.to_string());
         Ok((ah, frame))
@@ -1116,15 +1103,13 @@ impl AllHands {
     /// pool — is recomputed deterministically from the restored texts, so
     /// the rebuilt session is byte-identical to the one that wrote the
     /// checkpoint.
-    fn restore_from_checkpoint(
-        tier: ModelTier,
-        config: AllHandsConfig,
+    fn restore(
+        self,
         mut journal: Journal,
-        recorder: Recorder,
-        labeled_sample: &[LabeledExample],
         state: CheckpointState,
         marker: u64,
-    ) -> Result<(Self, DataFrame), AllHandsError> {
+    ) -> Result<(AllHands, DataFrame), AllHandsError> {
+        let Run { tier, labeled_sample, config, recorder, .. } = self;
         if state.row_labels.len() != state.texts.len()
             || state.doc_topics.len() != state.texts.len()
         {
@@ -1142,86 +1127,110 @@ impl AllHands {
         let _span = recorder.span("recover");
         let mut llm = SimLlm::new(ModelSpec::for_tier(tier));
         llm.set_recorder(recorder.clone());
-        let llm = llm;
-        let resilience = Arc::new(ResilienceCtx::with_recorder(
-            config.resilience,
-            recorder.clone(),
-        ));
+        let resilience = resilience_ctx(&config, &recorder);
         resilience.restore(&state.resilience);
         journal.set_crash_hook(resilience.crash_hook());
-        let sentiments: Vec<f64> = state.texts.iter().map(|t| estimate_sentiment(t)).collect();
-        let frame = build_frame(&state.texts, &state.row_labels, &sentiments, &state.doc_topics)?;
-        let mut agent = QaAgent::new(
-            SimLlm::new(ModelSpec::for_tier(tier)),
-            frame.clone(),
-            config.agent.clone(),
+        let mut ingest = IngestState::new(
+            llm,
+            labeled_sample,
+            state.texts,
+            state.row_labels,
+            state.doc_topics,
+            state.topic_list,
         );
-        agent.set_resilience(Arc::clone(&resilience));
-        for record in &state.answers {
-            agent.restore_answer(record.clone());
-        }
-        let doc_index = state.doc_index.map(|s| {
+        ingest.doc_index = state.doc_index.map(|s| {
             let mut idx = IvfIndex::from_state(s);
             idx.set_recorder(recorder.clone());
             idx
         });
-        let ingest = IngestState {
-            llm,
-            labeled_sample: labeled_sample.to_vec(),
-            labels: distinct_labels(labeled_sample),
-            demos: None,
-            topic_list: state.topic_list,
-            row_embeds: Vec::new(),
-            doc_index,
-            pending: state.pending.iter().map(|&r| r as usize).collect(),
-            texts: state.texts,
-            row_labels: state.row_labels,
-            sentiments,
-            doc_topics: state.doc_topics,
-            batches: state.batches as usize,
-        };
-        Ok((
-            AllHands {
-                tier,
-                config,
-                agent,
-                resilience,
-                journal: Some(journal),
-                asked: state.asked as usize,
-                answers: state.answers,
-                recorder,
-                qa_span: None,
-                ingest: Some(ingest),
-                ingest_span: None,
-                replica: false,
-                reads_served: 0,
-            },
-            frame,
-        ))
+        ingest.pending = state.pending.iter().map(|&r| r as usize).collect();
+        ingest.batches = state.batches as usize;
+        let frame = ingest.frame()?;
+        let mut ah = AllHands::assemble(
+            tier,
+            config,
+            frame.clone(),
+            resilience,
+            Some(journal),
+            recorder,
+            Some(ingest),
+        );
+        // The answer history replays through the reducer, re-establishing
+        // the agent's session bindings and the question ordinal.
+        for (idx, record) in state.answers.into_iter().enumerate() {
+            ah.apply(Delta::Answer(idx, record), true)?;
+        }
+        Ok((ah, frame))
+    }
+}
+
+impl AllHands {
+    /// Start building a run: pick a tier, then chain
+    /// [`config`](AllHandsBuilder::config), [`journal`](AllHandsBuilder::journal),
+    /// and [`recorder`](AllHandsBuilder::recorder) before calling
+    /// [`analyze`](AllHandsBuilder::analyze) (full pipeline) or
+    /// [`from_frame`](AllHandsBuilder::from_frame) (pre-structured data).
+    ///
+    /// The stages share one resilience context built from
+    /// [`AllHandsConfig::resilience`]: under fault injection, classification
+    /// falls back to a lexical prior, topic modeling skips refinement, and
+    /// the QA agent answers partially — the pipeline degrades rather than
+    /// failing, and every degradation is recorded on the context
+    /// ([`AllHands::resilience`]). Errors that cannot be degraded around
+    /// (e.g. inconsistent pipeline columns) are returned, never panicked.
+    ///
+    /// With [`JournalMode`] attached, each stage boundary is snapshotted to
+    /// a write-ahead journal; a run that crashed part-way replays committed
+    /// stages byte-identically on the next `Continue` run with the same
+    /// inputs (the journal header pins a content fingerprint — resuming
+    /// against different inputs is an error, never silent reuse). Later
+    /// [`ask`](AllHands::ask) calls are journaled too.
+    pub fn builder(tier: ModelTier) -> AllHandsBuilder {
+        AllHandsBuilder {
+            tier,
+            config: AllHandsConfig::default(),
+            options: AnalyzeOptions::default(),
+        }
     }
 
-    /// Apply one catalogued ingest delta during point-in-time recovery:
-    /// the snapshot carries its own batch texts, so no caller re-feed is
-    /// needed. Mirrors the journal-replay path of [`ingest`](Self::ingest).
-    fn replay_delta(
-        &mut self,
-        batch_idx: usize,
-        snap: IngestSnapshot,
-    ) -> Result<DataFrame, AllHandsError> {
-        let rec = self.recorder.clone();
-        let cfg = self.config.ingest.clone();
-        let Some(ing) = self.ingest.as_mut() else {
-            return Err(AllHandsError::Pipeline(
-                "recover: no ingestion state to replay a delta into".to_string(),
-            ));
-        };
-        self.resilience.restore(&snap.resilience);
-        rec.incr("recover.delta_replays");
-        let batch = snap.texts.clone();
-        let report = apply_ingest_snapshot(ing, &batch, snap, &rec, &cfg, batch_idx)?;
-        ing.batches = batch_idx + 1;
-        self.agent.set_frame(report.frame.clone());
-        Ok(report.frame)
+    /// Build directly over an already-structured feedback frame (columns
+    /// like `text`, `sentiment`, `topics`, …). Use
+    /// [`AllHands::builder`]`.analyze(..)` to run the full structuralization
+    /// pipeline first.
+    pub fn from_frame(tier: ModelTier, frame: DataFrame, config: AllHandsConfig) -> Self {
+        Self::builder(tier).config(config).from_frame(frame)
+    }
+
+    /// The one session constructor: the QA agent over `frame`, sharing the
+    /// run-wide resilience context; question ordinals, answer history and
+    /// spans start empty.
+    fn assemble(
+        tier: ModelTier,
+        config: AllHandsConfig,
+        frame: DataFrame,
+        resilience: Arc<ResilienceCtx>,
+        journal: Option<Journal>,
+        recorder: Recorder,
+        ingest: Option<IngestState>,
+    ) -> Self {
+        let mut agent =
+            QaAgent::new(SimLlm::new(ModelSpec::for_tier(tier)), frame, config.agent.clone());
+        agent.set_resilience(Arc::clone(&resilience));
+        AllHands {
+            tier,
+            config,
+            agent,
+            resilience,
+            journal,
+            asked: 0,
+            answers: Vec::new(),
+            recorder,
+            qa_span: None,
+            ingest,
+            ingest_span: None,
+            replica: false,
+            reads_served: 0,
+        }
     }
 
     /// The LLM tier in use.
@@ -1281,18 +1290,24 @@ impl AllHands {
             return Ok(self.agent.ask(question));
         }
         let idx = self.asked;
-        self.asked += 1;
         let _question_span = self.recorder.span(&format!("question[{idx}]"));
         let Some(journal) = &mut self.journal else {
-            return Ok(self.agent.ask(question));
+            let response = self.agent.ask(question);
+            let record = self.agent.record_answer(question, &response);
+            self.apply(Delta::Answer(idx, record), false)?;
+            return Ok(response);
         };
         let key =
             format!("q{:03}:{}", idx, allhands_journal::fingerprint([question.as_bytes()]));
         match journal.lookup::<QaSnapshot>("qa", &key) {
             Ok(Some(snap)) => {
                 self.resilience.restore(&snap.resilience);
-                self.answers.push(snap.record.clone());
-                return Ok(self.agent.restore_answer(snap.record));
+                let Applied::Answer(Some(response)) =
+                    self.apply(Delta::Answer(idx, snap.record), true)?
+                else {
+                    unreachable!("a replayed answer re-renders its response")
+                };
+                return Ok(response);
             }
             Ok(None) => {}
             Err(e) => {
@@ -1302,45 +1317,50 @@ impl AllHands {
                     .note_degradation("qa-agent", format!("journal replay failed ({e}); recomputing"));
             }
         }
-        if let Some(reason) = journal.read_only_reason().map(str::to_string) {
+        let read_only = journal.read_only_reason().map(str::to_string);
+        match &read_only {
             // Already read-only: keep answering (bounded-staleness reads
             // survive storage degradation), skip the doomed append, and
             // note the lost durability once rather than on every question.
-            self.resilience.note_degradation_once(
+            Some(reason) => self.resilience.note_degradation_once(
                 "qa-agent",
                 &format!("journal is read-only ({reason}); answers no longer crash-safe"),
-            );
-            let response = self.agent.ask(question);
-            let record = self.agent.record_answer(question, &response);
-            self.answers.push(record);
-            return Ok(response);
+            ),
+            None => self.resilience.crash_point(&format!("qa:{key}:start")),
         }
-        self.resilience.crash_point(&format!("qa:{key}:start"));
         let response = self.agent.ask(question);
-        let record = self.agent.record_answer(question, &response);
-        self.answers.push(record.clone());
-        let snap = QaSnapshot { record, resilience: self.resilience.snapshot() };
-        match journal.append("qa", &key, &snap) {
-            Ok(()) => self.resilience.crash_point(&format!("qa:{key}:committed")),
-            Err(JournalError::ReadOnly(m)) => {
-                // The storage layer tripped read-only during this append.
-                // The answer stays applied in memory, but the caller gets
-                // the typed error: this answer was never made durable.
-                self.resilience.note_degradation(
-                    "qa-agent",
-                    format!(
-                        "journal tripped read-only ({m}); answer served from memory, not crash-safe"
-                    ),
-                );
-                return Err(AllHandsError::ReadOnly(m));
-            }
-            Err(e) => {
-                // The answer is still good — it is just not crash-safe.
-                self.resilience
-                    .note_degradation("qa-agent", format!("journal append failed ({e}); answer not crash-safe"));
+        let snap = QaSnapshot {
+            record: self.agent.record_answer(question, &response),
+            resilience: self.resilience.snapshot(),
+        };
+        let mut outcome = Ok(response);
+        if read_only.is_none() {
+            match journal.append("qa", &key, &snap) {
+                Ok(()) => self.resilience.crash_point(&format!("qa:{key}:committed")),
+                Err(JournalError::ReadOnly(m)) => {
+                    // The storage layer tripped read-only during this
+                    // append. The answer stays applied in memory, but the
+                    // caller gets the typed error: this answer was never
+                    // made durable.
+                    self.resilience.note_degradation(
+                        "qa-agent",
+                        format!(
+                            "journal tripped read-only ({m}); answer served from memory, not crash-safe"
+                        ),
+                    );
+                    outcome = Err(AllHandsError::ReadOnly(m));
+                }
+                Err(e) => {
+                    // The answer is still good — it is just not crash-safe.
+                    self.resilience.note_degradation(
+                        "qa-agent",
+                        format!("journal append failed ({e}); answer not crash-safe"),
+                    );
+                }
             }
         }
-        Ok(response)
+        self.apply(Delta::Answer(idx, snap.record), false)?;
+        outcome
     }
 
     /// Structured summary of everything that went sideways this run:
@@ -1433,7 +1453,7 @@ impl AllHands {
             );
             return Err(AllHandsError::ReadOnly(reason));
         }
-        let Some(ing) = self.ingest.as_mut() else {
+        let Some(batch_idx) = self.ingest.as_ref().map(|ing| ing.batches) else {
             return Err(AllHandsError::Pipeline(
                 "ingest requires a pipeline-built session (builder().analyze(..)); \
                  from_frame sessions carry no ingestion state"
@@ -1445,9 +1465,6 @@ impl AllHands {
             self.ingest_span = Some(self.recorder.span("ingest"));
         }
         let rec = self.recorder.clone();
-        let cfg = self.config.ingest.clone();
-        let batch_idx = ing.batches;
-        ing.batches += 1;
         let _batch_span = rec.span(&format!("batch[{batch_idx}]"));
         rec.incr("ingest.batches");
         rec.add("ingest.docs", batch.len() as u64);
@@ -1466,150 +1483,19 @@ impl AllHands {
             rec.incr("ingest.replays");
             let _replay_span = rec.span("replay");
             self.resilience.restore(&snap.resilience);
-            let report = apply_ingest_snapshot(ing, batch, snap, &rec, &cfg, batch_idx)?;
-            self.agent.set_frame(report.frame.clone());
+            let Applied::Batch(report) = self.apply(Delta::Batch(batch_idx, snap), true)? else {
+                unreachable!("a batch delta applies as a batch")
+            };
             self.maybe_checkpoint(batch_idx);
             return Ok(report);
         }
         if self.journal.is_some() {
             self.resilience.crash_point(&format!("ingest:{key}:start"));
         }
-
-        // Stage 1: classify only the new documents against the retained
-        // demonstration pool.
-        let demos = match &ing.demos {
-            Some(d) => Arc::clone(d),
-            None => {
-                // Resumed run whose one-shot stage 1 replayed: fit lazily.
-                let mut d =
-                    DemoIndex::fit(&ing.llm, &ing.labeled_sample, &ing.labels, &self.config.icl);
-                d.set_recorder(rec.clone());
-                let d = Arc::new(d);
-                ing.demos = Some(Arc::clone(&d));
-                d
-            }
-        };
-        let predicted: Vec<String> =
-            IclClassifier::from_demos(&ing.llm, demos, self.config.icl.clone())
-                .with_resilience(Arc::clone(&self.resilience))
-                .classify_batch(batch);
-
-        // Stage 2: similarity assignment against the existing topic list.
-        let start_row = ing.texts.len();
-        for (i, text) in batch.iter().enumerate() {
-            ing.texts.push(text.clone());
-            ing.row_labels.push(predicted[i].clone());
-            ing.sentiments.push(estimate_sentiment(text));
-        }
-        let routed = {
-            let _assign_span = rec.span("assign");
-            backfill_row_embeds(ing, &rec, ing.texts.len());
-            // Batch-static centroids: every document in the batch is scored
-            // against the same targets, computed from the pre-batch state a
-            // replayed run restores exactly — so assignment never depends on
-            // within-batch order or on float drift from incremental updates.
-            let centroids = topic_centroids(ing, start_row);
-            let mut routed = 0usize;
-            for row in start_row..ing.texts.len() {
-                let emb = &ing.row_embeds[row];
-                let mut best: Option<(usize, f32)> = None;
-                for (j, c) in centroids.iter().enumerate() {
-                    let Some(c) = c else { continue };
-                    let s = emb.cosine(c);
-                    // Strictly-greater under `total_cmp`: the first topic
-                    // wins ties and a NaN similarity never wins.
-                    let better = match best {
-                        None => true,
-                        Some((_, b)) => s.total_cmp(&b) == std::cmp::Ordering::Greater,
-                    };
-                    if better {
-                        best = Some((j, s));
-                    }
-                }
-                match best {
-                    Some((j, s)) if s >= cfg.assign_threshold => {
-                        ing.doc_topics.push(vec![ing.topic_list[j].clone()]);
-                    }
-                    _ => {
-                        ing.pending.push(row);
-                        ing.doc_topics.push(vec!["others".to_string()]);
-                        routed += 1;
-                    }
-                }
-            }
-            routed
-        };
-        rec.add("ingest.assigned", (batch.len() - routed) as u64);
-        rec.add("ingest.routed_pending", routed as u64);
-
-        // Flush: one bounded re-summarization round over the pending pool.
-        let mut rewrites: Vec<TopicRewrite> = Vec::new();
-        let mut coined: Vec<String> = Vec::new();
-        let mut flushed = 0usize;
-        if ing.pending.len() >= cfg.pending_threshold {
-            let _flush_span = rec.span("resummarize");
-            rec.incr("ingest.flushes");
-            let pending_rows = std::mem::take(&mut ing.pending);
-            flushed = pending_rows.len();
-            let pending_texts: Vec<String> =
-                pending_rows.iter().map(|&r| ing.texts[r].clone()).collect();
-            let before = ing.topic_list.len();
-            let modeler = AbstractiveTopicModeler::new(&ing.llm, self.config.topics.clone())
-                .with_resilience(Arc::clone(&self.resilience));
-            let (new_topics, degraded, quarantined) =
-                modeler.assign_pending(&pending_texts, &mut ing.topic_list, &ing.texts);
-            coined = ing.topic_list[before..].to_vec();
-            rec.add("ingest.coined", coined.len() as u64);
-            if degraded > 0 {
-                self.resilience.note_degradation_once(
-                    "ingest",
-                    &format!(
-                        "re-summarization degraded for {degraded} pending document(s); kept \"others\""
-                    ),
-                );
-            }
-            if quarantined > 0 {
-                self.resilience.note_degradation_once(
-                    "ingest",
-                    &format!(
-                        "{quarantined} pending document(s) quarantined during re-summarization"
-                    ),
-                );
-            }
-            for (k, &row) in pending_rows.iter().enumerate() {
-                ing.doc_topics[row] = new_topics[k].clone();
-                rewrites.push(TopicRewrite { row: row as u64, topics: new_topics[k].clone() });
-            }
-        }
-
-        // Index maintenance: the incremental document index absorbs the
-        // batch, auto-retraining past the staleness threshold.
-        let retrained = {
-            let _index_span = rec.span("index");
-            let batch_embeds: Vec<Embedding> = ing.row_embeds[start_row..].to_vec();
-            let doc_index = ensure_doc_index(ing, &rec, &cfg, start_row);
-            let before = doc_index.train_count();
-            for (i, emb) in batch_embeds.into_iter().enumerate() {
-                doc_index.insert(Record::new((start_row + i) as u64, emb));
-            }
-            doc_index.train_count() > before
-        };
-        rec.add("ingest.indexed", batch.len() as u64);
+        let ing = self.ingest.as_mut().expect("ingestion state checked above");
+        let snap = decide_batch(ing, batch, &self.config, &self.resilience, &rec);
 
         // Journal delta: the batch boundary is the crash-consistency point.
-        let snap = IngestSnapshot {
-            texts: batch.to_vec(),
-            predicted,
-            topics: ing.doc_topics[start_row..].to_vec(),
-            topic_list: ing.topic_list.clone(),
-            pending: ing.pending.iter().map(|&r| r as u64).collect(),
-            rewrites,
-            assigned: (batch.len() - routed) as u64,
-            routed: routed as u64,
-            flushed: flushed as u64,
-            coined: coined.clone(),
-            resilience: self.resilience.snapshot(),
-        };
         let mut readonly_trip: Option<String> = None;
         if let Some(j) = &mut self.journal {
             match j.append("ingest", &key, &snap) {
@@ -1638,23 +1524,111 @@ impl AllHands {
             }
         }
 
-        let frame = build_frame(&ing.texts, &ing.row_labels, &ing.sentiments, &ing.doc_topics)?;
-        self.agent.set_frame(frame.clone());
+        let Applied::Batch(report) = self.apply(Delta::Batch(batch_idx, snap), false)? else {
+            unreachable!("a batch delta applies as a batch")
+        };
+        rec.add("ingest.indexed", report.new_rows as u64);
         if let Some(m) = readonly_trip {
             return Err(AllHandsError::ReadOnly(m));
         }
         self.maybe_checkpoint(batch_idx);
-        Ok(IngestReport {
-            batch: batch_idx,
-            new_rows: batch.len(),
-            assigned: batch.len() - routed,
-            routed_pending: routed,
-            flushed,
-            coined,
+        Ok(report)
+    }
+
+    /// The session reducer: the only place session state changes after
+    /// construction. Live ingest and ask, journal lookups on resume,
+    /// point-in-time recovery, checkpoint restore and replication all
+    /// apply their deltas here, so every path lands on the same state.
+    ///
+    /// A batch appends its rows, labels, sentiments and topics, applies the
+    /// flush's topic rewrites, installs the topic list and pending pool,
+    /// feeds the document index the same insert sequence the live run
+    /// performed (so auto-retrains fire at the same points and the index
+    /// structure matches), rebinds the agent's frame and advances the batch
+    /// ordinal. An answer joins the history a checkpoint carries (on
+    /// journaled sessions) and advances the question ordinal; a `replayed`
+    /// one also re-executes its recorded code in the agent, since only a
+    /// live answer already ran there.
+    ///
+    /// Callers that replay restore the delta's recorded resilience state
+    /// first; the live paths must not, as their context already holds the
+    /// crash points and notes the delta recorded. Checkpointing stays with
+    /// the callers: recovery never writes.
+    fn apply(&mut self, delta: Delta, replayed: bool) -> Result<Applied, AllHandsError> {
+        let (batch, snap) = match delta {
+            Delta::Answer(idx, record) => {
+                let response = replayed.then(|| self.agent.restore_answer(record.clone()));
+                if self.journal.is_some() {
+                    self.answers.push(record);
+                }
+                self.asked = self.asked.max(idx + 1);
+                return Ok(Applied::Answer(response));
+            }
+            Delta::Batch(batch, snap) => (batch, snap),
+        };
+        let rec = &self.recorder;
+        let cfg = &self.config.ingest;
+        let Some(ing) = self.ingest.as_mut() else {
+            return Err(AllHandsError::Pipeline(
+                "journal: no ingestion state to apply a batch delta into".to_string(),
+            ));
+        };
+        if batch != ing.batches {
+            return Err(AllHandsError::Pipeline(format!(
+                "journal: batch {batch} delta applied out of order (expected batch {})",
+                ing.batches
+            )));
+        }
+        let new_rows = snap.texts.len();
+        let start_row = ing.texts.len();
+        if snap.predicted.len() != new_rows || snap.topics.len() != new_rows {
+            return Err(AllHandsError::Pipeline(format!(
+                "journal: ingest snapshot for batch {batch} holds {} label(s) / {} topic row(s) \
+                 for a {new_rows}-document batch",
+                snap.predicted.len(),
+                snap.topics.len(),
+            )));
+        }
+        if let Some(rw) = snap.rewrites.iter().find(|rw| rw.row as usize >= start_row + new_rows) {
+            return Err(AllHandsError::Pipeline(format!(
+                "journal: ingest snapshot for batch {batch} rewrites nonexistent row {}",
+                rw.row
+            )));
+        }
+        ing.sentiments.extend(snap.texts.iter().map(|t| estimate_sentiment(t)));
+        ing.texts.extend(snap.texts);
+        ing.row_labels.extend(snap.predicted);
+        ing.doc_topics.extend(snap.topics);
+        for rw in snap.rewrites {
+            ing.doc_topics[rw.row as usize] = rw.topics;
+        }
+        ing.topic_list = snap.topic_list;
+        ing.pending = snap.pending.iter().map(|&r| r as usize).collect();
+        backfill_row_embeds(ing, rec, &[]);
+        let retrained = {
+            let _index_span = rec.span("index");
+            let batch_embeds = ing.row_embeds[start_row..start_row + new_rows].to_vec();
+            let doc_index = ensure_doc_index(ing, rec, cfg, start_row);
+            let before = doc_index.train_count();
+            for (i, emb) in batch_embeds.into_iter().enumerate() {
+                doc_index.insert(Record::new((start_row + i) as u64, emb));
+            }
+            doc_index.train_count() > before
+        };
+        let frame = ing.frame()?;
+        ing.batches = batch + 1;
+        self.agent.set_frame(frame.clone());
+        Ok(Applied::Batch(IngestReport {
+            batch,
+            new_rows,
+            assigned: snap.assigned as usize,
+            routed_pending: snap.routed as usize,
+            flushed: snap.flushed as usize,
+            coined: snap.coined,
             retrained,
-            replayed: false,
+            replayed,
             frame,
-        })
+        }))
     }
 
     /// Write a checkpoint (and compact the journal behind it) when the
@@ -1703,16 +1677,9 @@ impl AllHands {
         text: &str,
         k: usize,
     ) -> Result<Vec<(u64, f32)>, AllHandsError> {
-        let cfg = self.config.ingest.clone();
-        let Some(ing) = self.ingest.as_mut() else {
-            return Err(AllHandsError::Pipeline(
-                "search_similar requires a pipeline-built session (builder().analyze(..))"
-                    .to_string(),
-            ));
-        };
+        let ing = self.ingest.as_ref().ok_or_else(|| pipeline_only("search_similar"))?;
         let query = ing.llm.embedder().embed(text);
-        let rows = ing.texts.len();
-        let index = ensure_doc_index(ing, &self.recorder, &cfg, rows);
+        let index = self.doc_index("search_similar")?;
         Ok(index.search(&query, k).into_iter().map(|h| (h.id, h.score)).collect())
     }
 
@@ -1725,16 +1692,14 @@ impl AllHands {
     /// the same row state builds the same index whether it happens here or
     /// lazily.
     pub fn prepare_search(&mut self) -> Result<(), AllHandsError> {
-        let cfg = self.config.ingest.clone();
-        let Some(ing) = self.ingest.as_mut() else {
-            return Err(AllHandsError::Pipeline(
-                "prepare_search requires a pipeline-built session (builder().analyze(..))"
-                    .to_string(),
-            ));
-        };
+        self.doc_index("prepare_search").map(|_| ())
+    }
+
+    /// The incremental document index over every row, built on first use.
+    fn doc_index(&mut self, op: &str) -> Result<&mut IvfIndex, AllHandsError> {
+        let ing = self.ingest.as_mut().ok_or_else(|| pipeline_only(op))?;
         let rows = ing.texts.len();
-        ensure_doc_index(ing, &self.recorder, &cfg, rows);
-        Ok(())
+        Ok(ensure_doc_index(ing, &self.recorder, &self.config.ingest, rows))
     }
 
     /// The `&self` half of the read-path borrow split: top-`k` rows most
@@ -1747,12 +1712,7 @@ impl AllHands {
         text: &str,
         k: usize,
     ) -> Result<Vec<(u64, f32)>, AllHandsError> {
-        let Some(ing) = self.ingest.as_ref() else {
-            return Err(AllHandsError::Pipeline(
-                "search_similar requires a pipeline-built session (builder().analyze(..))"
-                    .to_string(),
-            ));
-        };
+        let ing = self.ingest.as_ref().ok_or_else(|| pipeline_only("search_similar"))?;
         let Some(index) = ing.doc_index.as_ref() else {
             return Err(AllHandsError::Pipeline(
                 "search index not built yet: call prepare_search() (or ingest a batch) first"
@@ -1785,13 +1745,13 @@ impl AllHands {
 
     /// Replica catch-up: verify and install a slice of the leader's WAL
     /// suffix (from [`Journal::tail_after`] on the leader), then apply each
-    /// entry to the in-memory state — ingest deltas replay through the same
-    /// snapshot-application path recovery uses (the snapshot carries its
-    /// own batch texts), QA entries restore the agent's answer history, and
-    /// the header verifies the run fingerprint. Entries must arrive in
-    /// chain order starting at this session's `next_seq`; anything else is
-    /// refused before touching the journal file, so a failed stream leaves
-    /// the replica at a clean entry boundary to resume from.
+    /// entry to the in-memory state through the session reducer every other
+    /// path uses — ingest deltas carry their own batch texts, QA entries
+    /// restore the agent's answer history, and the header verifies the run
+    /// fingerprint. Entries must arrive in chain order starting at this
+    /// session's `next_seq`; anything else is refused before touching the
+    /// journal file, so a failed stream leaves the replica at a clean entry
+    /// boundary to resume from.
     ///
     /// The replica's own checkpoint policy applies as batches land, so a
     /// long-lived follower compacts its journal on the same cadence as the
@@ -1811,83 +1771,31 @@ impl AllHands {
                 .expect("journal presence checked above")
                 .append_raw(&te.line)
                 .map_err(jerr)?;
-            match entry.stage.as_str() {
+            let (delta, resilience) = match decode_entry(&entry) {
+                Ok(Some(decoded)) => Ok(decoded),
                 // The fingerprint was verified against the established run
                 // by `append_raw`; nothing to apply.
-                "header" => {}
-                "ingest" => {
-                    let ord = entry
-                        .key
-                        .get(1..6)
-                        .and_then(|s| s.parse::<usize>().ok())
-                        .ok_or_else(|| {
-                            AllHandsError::Pipeline(format!(
-                                "replication: malformed ingest key {:?} at seq {}",
-                                entry.key, entry.seq
-                            ))
-                        })?;
-                    let snap: IngestSnapshot =
-                        allhands_journal::decode(&entry.payload).map_err(|e| {
-                            AllHandsError::Pipeline(format!(
-                                "replication: undecodable ingest delta at seq {}: {e}",
-                                entry.seq
-                            ))
-                        })?;
-                    let rec = self.recorder.clone();
-                    let cfg = self.config.ingest.clone();
-                    let Some(ing) = self.ingest.as_mut() else {
-                        return Err(AllHandsError::Pipeline(
-                            "replication: no ingestion state to apply a delta into".to_string(),
-                        ));
-                    };
-                    if ord != ing.batches {
-                        return Err(AllHandsError::Pipeline(format!(
-                            "replication: batch {ord} arrived out of order (expected {})",
-                            ing.batches
-                        )));
-                    }
-                    self.resilience.restore(&snap.resilience);
-                    let batch = snap.texts.clone();
-                    let report = apply_ingest_snapshot(ing, &batch, snap, &rec, &cfg, ord)?;
-                    ing.batches = ord + 1;
-                    self.agent.set_frame(report.frame.clone());
-                    rec.incr("replica.batches_applied");
-                    ingest_batches += 1;
-                    self.maybe_checkpoint(ord);
-                }
-                "qa" => {
-                    let idx = entry
-                        .key
-                        .get(1..4)
-                        .and_then(|s| s.parse::<usize>().ok())
-                        .ok_or_else(|| {
-                            AllHandsError::Pipeline(format!(
-                                "replication: malformed qa key {:?} at seq {}",
-                                entry.key, entry.seq
-                            ))
-                        })?;
-                    let snap: QaSnapshot =
-                        allhands_journal::decode(&entry.payload).map_err(|e| {
-                            AllHandsError::Pipeline(format!(
-                                "replication: undecodable qa snapshot at seq {}: {e}",
-                                entry.seq
-                            ))
-                        })?;
-                    self.resilience.restore(&snap.resilience);
-                    self.answers.push(snap.record.clone());
-                    let _ = self.agent.restore_answer(snap.record);
-                    self.asked = self.asked.max(idx + 1);
-                    self.recorder.incr("replica.answers_applied");
-                    answers += 1;
-                }
+                Ok(None) if entry.stage == "header" => continue,
                 // `stage1`/`stage2` snapshots only exist below any bundle's
                 // export point, and anything else is foreign: neither can
                 // be applied incrementally.
-                other => {
-                    return Err(AllHandsError::Pipeline(format!(
-                        "replication: stage {other:?} at seq {} cannot be applied incrementally; re-bootstrap the replica",
-                        entry.seq
-                    )));
+                Ok(None) => Err(format!(
+                    "stage {:?} at seq {} cannot be applied incrementally; re-bootstrap the replica",
+                    entry.stage, entry.seq
+                )),
+                Err(e) => Err(format!("{e} at seq {}", entry.seq)),
+            }
+            .map_err(|m| AllHandsError::Pipeline(format!("replication: {m}")))?;
+            self.resilience.restore(&resilience);
+            match self.apply(delta, true)? {
+                Applied::Batch(report) => {
+                    self.recorder.incr("replica.batches_applied");
+                    ingest_batches += 1;
+                    self.maybe_checkpoint(report.batch);
+                }
+                Applied::Answer(_) => {
+                    self.recorder.incr("replica.answers_applied");
+                    answers += 1;
                 }
             }
         }
@@ -1917,15 +1825,7 @@ impl AllHands {
                     .to_string(),
             ));
         }
-        let cfg = self.config.ingest.clone();
-        let Some(ing) = self.ingest.as_mut() else {
-            return Err(AllHandsError::Pipeline(
-                "retract requires a pipeline-built session (builder().analyze(..))".to_string(),
-            ));
-        };
-        let rows = ing.texts.len();
-        let index = ensure_doc_index(ing, &self.recorder, &cfg, rows);
-        Ok(index.remove(id))
+        Ok(self.doc_index("retract")?.remove(id))
     }
 
     /// Register a custom analysis plugin available to generated code.
@@ -1937,6 +1837,12 @@ impl AllHands {
     pub fn agent_mut(&mut self) -> &mut QaAgent {
         &mut self.agent
     }
+}
+
+/// The error an operation needing retained pipeline state reports on an
+/// [`AllHands::from_frame`] session.
+fn pipeline_only(op: &str) -> AllHandsError {
+    AllHandsError::Pipeline(format!("{op} requires a pipeline-built session (builder().analyze(..))"))
 }
 
 /// Distinct labels of the labeled sample, in first-appearance order — the
@@ -1952,38 +1858,144 @@ fn distinct_labels(labeled_sample: &[LabeledExample]) -> Vec<String> {
     seen
 }
 
-/// Build the structured feedback frame: one row per text. Shared by the
-/// one-shot pipeline and the ingest path so both produce byte-identical
-/// tables for the same rows.
-fn build_frame(
-    texts: &[String],
-    labels: &[String],
-    sentiments: &[f64],
-    doc_topics: &[Vec<String>],
-) -> Result<DataFrame, AllHandsError> {
-    let frame = DataFrame::new(vec![
-        Column::from_i64s("id", &(0..texts.len() as i64).collect::<Vec<_>>()),
-        Column::from_strings("text", texts.to_vec()),
-        Column::from_strings("label", labels.to_vec()),
-        Column::from_f64s("sentiment", sentiments),
-        Column::from_str_lists("topics", doc_topics.to_vec()),
-        Column::from_i64s(
-            "text_len",
-            &texts.iter().map(|t| t.chars().count() as i64).collect::<Vec<_>>(),
-        ),
-    ])?;
-    Ok(frame)
+/// The run-wide resilience context, recording into the run's recorder.
+fn resilience_ctx(config: &AllHandsConfig, recorder: &Recorder) -> Arc<ResilienceCtx> {
+    Arc::new(ResilienceCtx::with_recorder(config.resilience, recorder.clone()))
 }
 
-/// Ensure every row before `upto` has a cached embedding, computing the
-/// missing tail data-parallel (deterministic across thread counts).
-fn backfill_row_embeds(ing: &mut IngestState, rec: &Recorder, upto: usize) {
-    if ing.row_embeds.len() >= upto {
+/// The *decide* half of a live ingest batch: classify the new documents,
+/// assign each to an existing topic by embedding similarity, run the
+/// pending-pool flush if it fills, and return the delta that
+/// [`AllHands::apply`] commits. Writes no session state — it only warms
+/// caches (the demonstration pool, and the batch's row embeddings, which
+/// the reducer then finds already computed, so the batch is embedded once).
+fn decide_batch(
+    ing: &mut IngestState,
+    batch: &[String],
+    config: &AllHandsConfig,
+    resilience: &Arc<ResilienceCtx>,
+    rec: &Recorder,
+) -> IngestSnapshot {
+    let cfg = &config.ingest;
+    // Stage 1: classify only the new documents against the retained
+    // demonstration pool.
+    let demos = match &ing.demos {
+        Some(d) => Arc::clone(d),
+        None => {
+            // Resumed run whose one-shot stage 1 replayed: fit lazily.
+            let mut d = DemoIndex::fit(&ing.llm, &ing.labeled_sample, &ing.labels, &config.icl);
+            d.set_recorder(rec.clone());
+            let d = Arc::new(d);
+            ing.demos = Some(Arc::clone(&d));
+            d
+        }
+    };
+    let predicted: Vec<String> = IclClassifier::from_demos(&ing.llm, demos, config.icl.clone())
+        .with_resilience(Arc::clone(resilience))
+        .classify_batch(batch);
+
+    // Stage 2: similarity assignment against the existing topic list.
+    let start_row = ing.texts.len();
+    let mut pending = ing.pending.clone();
+    let mut topics: Vec<Vec<String>> = Vec::with_capacity(batch.len());
+    {
+        let _assign_span = rec.span("assign");
+        // Drop embeddings a decided-but-never-applied batch left behind.
+        ing.row_embeds.truncate(start_row);
+        backfill_row_embeds(ing, rec, batch);
+        // Batch-static centroids: every document in the batch is scored
+        // against the same targets, computed from the pre-batch state a
+        // replayed run restores exactly — so assignment never depends on
+        // within-batch order or on float drift from incremental updates.
+        let centroids = topic_centroids(ing, start_row);
+        for (i, emb) in ing.row_embeds[start_row..].iter().enumerate() {
+            // Strictly-greater under `total_cmp`: the first topic wins ties.
+            let best = centroids
+                .iter()
+                .enumerate()
+                .filter_map(|(j, c)| Some((j, emb.cosine(c.as_ref()?))))
+                .reduce(|best, cur| if cur.1.total_cmp(&best.1).is_gt() { cur } else { best });
+            match best {
+                Some((j, s)) if s >= cfg.assign_threshold => {
+                    topics.push(vec![ing.topic_list[j].clone()]);
+                }
+                _ => {
+                    pending.push(start_row + i);
+                    topics.push(vec!["others".to_string()]);
+                }
+            }
+        }
+    }
+    let routed = pending.len() - ing.pending.len();
+    rec.add("ingest.assigned", (batch.len() - routed) as u64);
+    rec.add("ingest.routed_pending", routed as u64);
+
+    // Flush: one bounded re-summarization round over the pending pool.
+    let mut topic_list = ing.topic_list.clone();
+    let mut rewrites: Vec<TopicRewrite> = Vec::new();
+    let mut coined: Vec<String> = Vec::new();
+    let mut flushed = 0usize;
+    if pending.len() >= cfg.pending_threshold {
+        let _flush_span = rec.span("resummarize");
+        rec.incr("ingest.flushes");
+        let pending_rows = std::mem::take(&mut pending);
+        flushed = pending_rows.len();
+        // The corpus so far, this batch included, grounds spell-normalization.
+        let corpus: Vec<String> = ing.texts.iter().chain(batch).cloned().collect();
+        let pending_texts: Vec<String> =
+            pending_rows.iter().map(|&r| corpus[r].clone()).collect();
+        let modeler = AbstractiveTopicModeler::new(&ing.llm, config.topics.clone())
+            .with_resilience(Arc::clone(resilience));
+        let (new_topics, degraded, quarantined) =
+            modeler.assign_pending(&pending_texts, &mut topic_list, &corpus);
+        coined = topic_list[ing.topic_list.len()..].to_vec();
+        rec.add("ingest.coined", coined.len() as u64);
+        if degraded > 0 {
+            resilience.note_degradation_once(
+                "ingest",
+                &format!(
+                    "re-summarization degraded for {degraded} pending document(s); kept \"others\""
+                ),
+            );
+        }
+        if quarantined > 0 {
+            resilience.note_degradation_once(
+                "ingest",
+                &format!("{quarantined} pending document(s) quarantined during re-summarization"),
+            );
+        }
+        for (row, new) in pending_rows.into_iter().zip(new_topics) {
+            if row >= start_row {
+                topics[row - start_row] = new.clone();
+            }
+            rewrites.push(TopicRewrite { row: row as u64, topics: new });
+        }
+    }
+    IngestSnapshot {
+        texts: batch.to_vec(),
+        predicted,
+        topics,
+        topic_list,
+        pending: pending.iter().map(|&r| r as u64).collect(),
+        rewrites,
+        assigned: (batch.len() - routed) as u64,
+        routed: routed as u64,
+        flushed: flushed as u64,
+        coined,
+        resilience: resilience.snapshot(),
+    }
+}
+
+/// Ensure every session row, then each of `extra` (the rows of a batch
+/// being decided, in order), has a cached embedding, computing the missing
+/// tail data-parallel in one pass (deterministic across thread counts).
+fn backfill_row_embeds(ing: &mut IngestState, rec: &Recorder, extra: &[String]) {
+    let missing: Vec<&String> = ing.texts.iter().chain(extra).skip(ing.row_embeds.len()).collect();
+    if missing.is_empty() {
         return;
     }
-    let missing = &ing.texts[ing.row_embeds.len()..upto];
     let embs: Vec<Embedding> =
-        allhands_par::par_map_indexed_recorded(rec, "ingest.embed", missing, |_, t| {
+        allhands_par::par_map_indexed_recorded(rec, "ingest.embed", &missing, |_, t| {
             ing.llm.embedder().embed(t)
         });
     ing.row_embeds.extend(embs);
@@ -2042,7 +2054,7 @@ fn ensure_doc_index<'i>(
     seed_rows: usize,
 ) -> &'i mut IvfIndex {
     if ing.doc_index.is_none() {
-        backfill_row_embeds(ing, rec, seed_rows);
+        backfill_row_embeds(ing, rec, &[]);
         let mut idx = IvfIndex::new(ing.llm.embedder().dims(), cfg.ivf_nprobe.max(1));
         idx.set_recorder(rec.clone());
         idx.set_retrain_policy(Some(cfg.ivf_staleness));
@@ -2053,74 +2065,6 @@ fn ensure_doc_index<'i>(
         ing.doc_index = Some(idx);
     }
     ing.doc_index.as_mut().expect("document index built above")
-}
-
-/// Apply a committed ingest delta record: append the batch rows with the
-/// recorded labels and topics, apply flush rewrites to earlier rows,
-/// restore the topic list and pending pool, and feed the document index
-/// the same insert sequence the live run performed (so auto-retrains fire
-/// at the same points and the index structure matches).
-fn apply_ingest_snapshot(
-    ing: &mut IngestState,
-    batch: &[String],
-    snap: IngestSnapshot,
-    rec: &Recorder,
-    cfg: &IngestConfig,
-    batch_idx: usize,
-) -> Result<IngestReport, AllHandsError> {
-    if snap.predicted.len() != batch.len() || snap.topics.len() != batch.len() {
-        return Err(AllHandsError::Pipeline(format!(
-            "journal: ingest snapshot for batch {batch_idx} holds {} label(s) / {} topic row(s) \
-             for a {}-document batch",
-            snap.predicted.len(),
-            snap.topics.len(),
-            batch.len()
-        )));
-    }
-    let start_row = ing.texts.len();
-    for (i, text) in batch.iter().enumerate() {
-        ing.texts.push(text.clone());
-        ing.row_labels.push(snap.predicted[i].clone());
-        ing.sentiments.push(estimate_sentiment(text));
-        ing.doc_topics.push(snap.topics[i].clone());
-    }
-    for rw in &snap.rewrites {
-        let row = rw.row as usize;
-        match ing.doc_topics.get_mut(row) {
-            Some(slot) => *slot = rw.topics.clone(),
-            None => {
-                return Err(AllHandsError::Pipeline(format!(
-                    "journal: ingest snapshot for batch {batch_idx} rewrites nonexistent row {row}"
-                )))
-            }
-        }
-    }
-    ing.topic_list = snap.topic_list;
-    ing.pending = snap.pending.iter().map(|&r| r as usize).collect();
-    backfill_row_embeds(ing, rec, ing.texts.len());
-    // Same insert sequence as the live run, so auto-retrains fire at the
-    // same points and the rebuilt index structure matches.
-    let retrained = {
-        let batch_embeds: Vec<Embedding> = ing.row_embeds[start_row..].to_vec();
-        let doc_index = ensure_doc_index(ing, rec, cfg, start_row);
-        let before = doc_index.train_count();
-        for (i, emb) in batch_embeds.into_iter().enumerate() {
-            doc_index.insert(Record::new((start_row + i) as u64, emb));
-        }
-        doc_index.train_count() > before
-    };
-    let frame = build_frame(&ing.texts, &ing.row_labels, &ing.sentiments, &ing.doc_topics)?;
-    Ok(IngestReport {
-        batch: batch_idx,
-        new_rows: batch.len(),
-        assigned: snap.assigned as usize,
-        routed_pending: snap.routed as usize,
-        flushed: snap.flushed as usize,
-        coined: snap.coined,
-        retrained,
-        replayed: true,
-        frame,
-    })
 }
 
 /// Lexical sentiment estimate in [-1, 1], blending a valence lexicon with
@@ -2206,6 +2150,18 @@ mod tests {
             run_fingerprint(tier, &texts, &[], &[], &base),
             run_fingerprint(tier, &texts, &[], &[], &changed)
         );
+    }
+
+    #[test]
+    fn key_ordinals_read_every_digit_up_to_the_colon() {
+        assert_eq!(key_ordinal("q999:ab12", 'q'), Some(999));
+        assert_eq!(key_ordinal("q1000:ab12", 'q'), Some(1000));
+        assert_eq!(key_ordinal("b99999:ab12", 'b'), Some(99_999));
+        assert_eq!(key_ordinal("b100000:ab12", 'b'), Some(100_000));
+        assert_eq!(key_ordinal(&format!("b{:05}:x", 7), 'b'), Some(7));
+        for malformed in ["", "q", "q:ab", "q12", "qx1:ab", "q+1:ab", "q-1:ab", "b00001:x"] {
+            assert_eq!(key_ordinal(malformed, 'q'), None, "{malformed:?}");
+        }
     }
 
     #[test]

@@ -28,7 +28,10 @@
 #                   run the checkpoint/compaction/recovery suite on its own
 #                   (checkpoint -> compact -> kill -> recover cycle at every
 #                   seam, point-in-time recover_at, corruption fuzz, journal
-#                   locking) plus the torn-tail truncation property test.
+#                   locking), the torn-tail truncation property test, and
+#                   the apply-path convergence suite (resume, recover_latest
+#                   and an apply_tail follower reach the leader's state on
+#                   every journal prefix).
 #   --scaling-smoke run the scaling + search stages of the pipeline bench on
 #                   a reduced matrix (threads sweep, smoke corpus sizes) and
 #                   schema-validate the emitted JSON. Curves are recorded,
@@ -44,7 +47,8 @@
 #                   vectorized; warm plan-cache hit rate asserted 100%,
 #                   speedup recorded, not asserted).
 #   --serve-smoke   run the serving/replication suite (kill-at-every-entry
-#                   reconnect sweep, lag reporting, replica write refusal),
+#                   reconnect sweep, lag reporting, replica write refusal)
+#                   and the apply-path convergence suite,
 #                   then the allhands-serve end-to-end smoke — leader + 2
 #                   followers on a Unix socket, reads served during an
 #                   ingest, chains and fingerprints asserted converged —
@@ -128,8 +132,8 @@ if [[ "$ingest_smoke" == 1 ]]; then
 fi
 
 if [[ "$checkpoint_smoke" == 1 ]]; then
-  echo "==> checkpoint smoke (checkpoint/compact/kill/recover, corruption fuzz)"
-  cargo test -q --test checkpoint_recovery --test journal_truncation
+  echo "==> checkpoint smoke (checkpoint/compact/kill/recover, corruption fuzz, apply convergence)"
+  cargo test -q --test checkpoint_recovery --test journal_truncation --test apply_convergence
 fi
 
 if [[ "$scaling_smoke" == 1 ]]; then
@@ -164,8 +168,8 @@ if [[ "$query_smoke" == 1 ]]; then
 fi
 
 if [[ "$serve_smoke" == 1 ]]; then
-  echo "==> serve smoke (replication sweep, then leader + 2 followers end-to-end)"
-  cargo test -q --test serve_replication
+  echo "==> serve smoke (replication sweep + apply convergence, then leader + 2 followers end-to-end)"
+  cargo test -q --test serve_replication --test apply_convergence
   cargo run --release -p allhands-serve --bin allhands-serve -- --smoke --followers 2
   serve_dir="$(mktemp -d)"
   tmp_dirs+=("$serve_dir")

@@ -174,6 +174,13 @@ fn kill_at_every_entry_boundary_reconnects_and_converges_byte_identically() {
             leader_wal, follower_wal,
             "kill point {k}: follower WAL is not byte-identical to the leader's"
         );
+        // The reopen kept every answer replicated before the kill: before
+        // serving any read, the follower holds the leader's history.
+        assert_eq!(
+            flw.agent_mut().history(),
+            leader.agent_mut().history(),
+            "kill point {k}: replicated answer history diverged"
+        );
         // Replicated state answers byte-identically to the leader.
         for (q, expected) in QUESTIONS.iter().zip(&leader_answers) {
             let got = flw.ask(q).expect("replica ask failed").render();
