@@ -122,7 +122,9 @@ struct IngestSnapshot {
 /// compaction dropped. Row embeddings, the demonstration pool, and
 /// sentiments are deliberately absent — they are recomputed
 /// deterministically from the texts (the embedder is stateless), keeping
-/// checkpoints proportional to the structured state, not the vectors.
+/// checkpoints proportional to the structured state, not the vectors. The
+/// document index is stored as its layout only; restore refills it from
+/// the recomputed row embeddings.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct CheckpointState {
     texts: Vec<String>,
@@ -139,7 +141,8 @@ struct CheckpointState {
     /// bindings and conversation context.
     answers: Vec<AnswerRecord>,
     resilience: ResilienceSnapshot,
-    /// The incremental document index, if it was built (`None` preserves
+    /// The incremental document index's layout (partitions, record ids,
+    /// retrain counters — no vectors), if it was built (`None` preserves
     /// the lazy build-on-first-use behavior across recovery).
     doc_index: Option<IvfState>,
 }
@@ -1100,9 +1103,9 @@ impl Run<'_> {
 
     /// Rebuild a live session from one decoded checkpoint. Everything the
     /// checkpoint omits — sentiments, row embeddings, the demonstration
-    /// pool — is recomputed deterministically from the restored texts, so
-    /// the rebuilt session is byte-identical to the one that wrote the
-    /// checkpoint.
+    /// pool, the document index's vectors — is recomputed deterministically
+    /// from the restored texts, so the rebuilt session is byte-identical to
+    /// the one that wrote the checkpoint.
     fn restore(
         self,
         mut journal: Journal,
@@ -1138,11 +1141,9 @@ impl Run<'_> {
             state.doc_topics,
             state.topic_list,
         );
-        ingest.doc_index = state.doc_index.map(|s| {
-            let mut idx = IvfIndex::from_state(s);
-            idx.set_recorder(recorder.clone());
-            idx
-        });
+        if let Some(layout) = state.doc_index {
+            restore_doc_index(&mut ingest, layout, &recorder, marker)?;
+        }
         ingest.pending = state.pending.iter().map(|&r| r as usize).collect();
         ingest.batches = state.batches as usize;
         let frame = ingest.frame()?;
@@ -1644,19 +1645,7 @@ impl AllHands {
         if self.journal.is_none() {
             return;
         }
-        let Some(ing) = self.ingest.as_ref() else { return };
-        let state = CheckpointState {
-            texts: ing.texts.clone(),
-            row_labels: ing.row_labels.clone(),
-            doc_topics: ing.doc_topics.clone(),
-            topic_list: ing.topic_list.clone(),
-            pending: ing.pending.iter().map(|&r| r as u64).collect(),
-            batches: ing.batches as u64,
-            asked: self.asked as u64,
-            answers: self.answers.clone(),
-            resilience: self.resilience.snapshot(),
-            doc_index: ing.doc_index.as_ref().map(IvfIndex::to_state),
-        };
+        let Some(state) = self.checkpoint_state() else { return };
         let _span = self.recorder.span("checkpoint");
         let marker = (batch_idx + 1) as u64;
         let keep = policy.keep_last_k.max(1);
@@ -1667,6 +1656,24 @@ impl AllHands {
                 format!("checkpoint at batch {batch_idx} failed ({e}); journal left uncompacted"),
             );
         }
+    }
+
+    /// The checkpoint payload for the current session state (`None` on a
+    /// session without retained pipeline state).
+    fn checkpoint_state(&self) -> Option<CheckpointState> {
+        let ing = self.ingest.as_ref()?;
+        Some(CheckpointState {
+            texts: ing.texts.clone(),
+            row_labels: ing.row_labels.clone(),
+            doc_topics: ing.doc_topics.clone(),
+            topic_list: ing.topic_list.clone(),
+            pending: ing.pending.iter().map(|&r| r as u64).collect(),
+            batches: ing.batches as u64,
+            asked: self.asked as u64,
+            answers: self.answers.clone(),
+            resilience: self.resilience.snapshot(),
+            doc_index: ing.doc_index.as_ref().map(IvfIndex::to_state),
+        })
     }
 
     /// Top-`k` rows most similar to `text` in the incremental document
@@ -1816,7 +1823,10 @@ impl AllHands {
     /// Remove one row's vector from the incremental document index (e.g. a
     /// user deletion request): similarity search stops returning it, while
     /// the structured frame keeps the row. Returns whether the id was
-    /// present. Not journaled — a resumed run rebuilds the index with the
+    /// present. Not journaled as its own entry: a retract made before a
+    /// checkpoint survives [`recover_latest`](AllHandsBuilder::recover_latest),
+    /// whose checkpoint carries the index layout, but a pure WAL replay
+    /// (resume, or a replica applying the tail) rebuilds the index with the
     /// row present until `retract` is called again.
     pub fn retract(&mut self, id: u64) -> Result<bool, AllHandsError> {
         if self.replica {
@@ -2067,6 +2077,32 @@ fn ensure_doc_index<'i>(
     ing.doc_index.as_mut().expect("document index built above")
 }
 
+/// Rebuild the document index from checkpoint `marker`'s layout, filling
+/// each record from the row-embedding cache (backfilled here from the
+/// restored texts: the vectors the index held when the checkpoint was
+/// written). A layout naming a row the checkpoint does not hold is an
+/// inconsistent checkpoint.
+fn restore_doc_index(
+    ing: &mut IngestState,
+    layout: IvfState,
+    rec: &Recorder,
+    marker: u64,
+) -> Result<(), AllHandsError> {
+    backfill_row_embeds(ing, rec, &[]);
+    let embeds = &ing.row_embeds;
+    let mut idx = IvfIndex::from_state(layout, |id| {
+        usize::try_from(id).ok().and_then(|row| embeds.get(row))
+    })
+    .map_err(|e| {
+        AllHandsError::Pipeline(format!(
+            "recover: checkpoint {marker} is internally inconsistent ({e})"
+        ))
+    })?;
+    idx.set_recorder(rec.clone());
+    ing.doc_index = Some(idx);
+    Ok(())
+}
+
 /// Lexical sentiment estimate in [-1, 1], blending a valence lexicon with
 /// emoji valence — the lightweight "sentiment feature extraction" the
 /// structured frame carries.
@@ -2164,6 +2200,95 @@ mod tests {
         }
     }
 
+    /// A pipeline session over [`smoke_corpus`] with one ingested batch, so
+    /// its document index exists and is trained.
+    fn indexed_session() -> AllHands {
+        let (texts, labeled, predefined) = smoke_corpus();
+        let (mut ah, _) =
+            AllHands::builder(ModelTier::Gpt4).analyze(&texts, &labeled, &predefined).unwrap();
+        let batch: Vec<String> =
+            (0..6).map(|i| format!("the app freezes on the login screen {i}")).collect();
+        ah.ingest(&batch).unwrap();
+        assert!(ah.ingest.as_ref().unwrap().doc_index.as_ref().unwrap().is_trained());
+        ah
+    }
+
+    /// Checkpoints used to carry every record's vector inline in the index
+    /// state. Such a payload still decodes (unknown fields are skipped) and
+    /// restores to the same index as the vector-free layout does.
+    #[test]
+    fn checkpoints_with_inline_vectors_restore_the_same_index() {
+        /// The earlier per-record state: the layout entry plus its vector.
+        #[derive(Serialize)]
+        struct InlineRecordState {
+            id: u64,
+            vector: Embedding,
+            metadata: Vec<allhands_vectordb::MetaPair>,
+        }
+        let mut ah = indexed_session();
+        let state = ah.checkpoint_state().unwrap();
+        let layout = state.doc_index.clone().unwrap();
+        let ing = ah.ingest.as_mut().unwrap();
+        let original = ing.doc_index.take().unwrap();
+        let inline: Vec<Vec<InlineRecordState>> = layout
+            .partitions
+            .iter()
+            .map(|p| {
+                p.iter()
+                    .map(|r| InlineRecordState {
+                        id: r.id,
+                        vector: original.get(r.id).unwrap().vector,
+                        metadata: r.metadata.clone(),
+                    })
+                    .collect()
+            })
+            .collect();
+        let current = serde_json::to_string(&state).unwrap();
+        let partitions = serde_json::to_string(&layout.partitions).unwrap();
+        assert_eq!(current.matches(&partitions).count(), 1);
+        assert!(!current.contains("\"vector\""));
+        let inline_json = serde_json::to_string(&inline).unwrap();
+        let earlier = current.replacen(&partitions, &inline_json, 1);
+        assert!(earlier.len() > 10 * current.len(), "the vectors were the bulk of a checkpoint");
+
+        let queries = ["app crashes on startup", "love the new design", "login freezes"];
+        let bits = |v: &Embedding| v.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for payload in [current, earlier] {
+            let value: serde_json::Value = serde_json::from_str(&payload).unwrap();
+            let decoded: CheckpointState = allhands_journal::decode(&value).unwrap();
+            ing.row_embeds.clear();
+            restore_doc_index(ing, decoded.doc_index.unwrap(), &Recorder::disabled(), 1).unwrap();
+            let restored = ing.doc_index.take().unwrap();
+            assert_eq!(restored.to_state(), layout);
+            for id in 0..ing.texts.len() as u64 {
+                let (a, b) = (original.get(id).unwrap(), restored.get(id).unwrap());
+                assert_eq!(bits(&a.vector), bits(&b.vector), "row {id}");
+            }
+            for q in queries {
+                let q = ing.llm.embedder().embed(q);
+                assert_eq!(original.search(&q, 8), restored.search(&q, 8));
+            }
+        }
+    }
+
+    #[test]
+    fn index_layout_naming_a_missing_row_is_an_inconsistent_checkpoint() {
+        let mut ah = indexed_session();
+        let layout = ah.checkpoint_state().unwrap().doc_index.unwrap();
+        let ing = ah.ingest.as_mut().unwrap();
+        let rows = ing.texts.len() as u64;
+        for bad in [rows, rows + 7, u64::MAX] {
+            let mut tampered = layout.clone();
+            tampered.partitions[0].push(allhands_vectordb::RecordState { id: bad, metadata: vec![] });
+            let err = restore_doc_index(ing, tampered, &Recorder::disabled(), 3).unwrap_err();
+            assert!(matches!(err, AllHandsError::Pipeline(_)), "{err:?}");
+            let msg = err.to_string();
+            assert!(msg.contains("checkpoint 3 is internally inconsistent"), "{msg}");
+            assert!(msg.contains(&format!("record {bad}")), "{msg}");
+        }
+        restore_doc_index(ing, layout, &Recorder::disabled(), 3).unwrap();
+    }
+
     #[test]
     fn sentiment_signs() {
         assert!(estimate_sentiment("I love this great app 😍") > 0.5);
@@ -2171,8 +2296,9 @@ mod tests {
         assert_eq!(estimate_sentiment("the weather outside"), 0.0);
     }
 
-    #[test]
-    fn full_pipeline_smoke() {
+    /// Thirty crash/praise texts, twenty labeled demonstrations and two
+    /// predefined topics.
+    fn smoke_corpus() -> (Vec<String>, Vec<LabeledExample>, Vec<String>) {
         let texts: Vec<String> = (0..30)
             .map(|i| {
                 if i % 2 == 0 {
@@ -2198,6 +2324,12 @@ mod tests {
             })
             .collect();
         let predefined = vec!["crash".to_string(), "praise".to_string()];
+        (texts, labeled, predefined)
+    }
+
+    #[test]
+    fn full_pipeline_smoke() {
+        let (texts, labeled, predefined) = smoke_corpus();
         let (mut ah, frame) = AllHands::builder(ModelTier::Gpt4)
             .recorder(RecorderMode::Enabled)
             .analyze(&texts, &labeled, &predefined)

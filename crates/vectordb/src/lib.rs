@@ -280,12 +280,6 @@ impl VectorIndex for FlatIndex {
     }
 }
 
-/// Inverted-file (IVF) index: records are partitioned by k-means over a
-/// training sample; queries probe the `nprobe` nearest partitions.
-///
-/// Until [`IvfIndex::train`] is called (or before `train_threshold` records
-/// exist), searches fall back to an exact scan, so the index is always
-/// correct — training only changes the speed/recall trade-off.
 /// One serialized metadata pair. The serde derive shim has no tuple
 /// support, and emitting pairs sorted by key keeps the serialized form
 /// deterministic regardless of `HashMap` iteration order.
@@ -297,23 +291,24 @@ pub struct MetaPair {
     pub value: String,
 }
 
-/// Serialized form of one stored [`Record`].
+/// Layout entry of one stored [`Record`]: its id and metadata, without
+/// the vector. The index owner supplies vectors by id on restore (see
+/// [`IvfIndex::from_state`]), so a layout stays a few bytes per record
+/// however wide the embeddings are.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RecordState {
     /// Caller-assigned identifier.
     pub id: u64,
-    /// The embedding vector (f32 round-trips exactly through JSON: the
-    /// shortest-round-trip float printer preserves every bit pattern).
-    pub vector: Embedding,
     /// Metadata pairs, sorted by key.
     pub metadata: Vec<MetaPair>,
 }
 
-/// Complete serialized state of an [`IvfIndex`] — centroids, partition
-/// contents *in storage order* (offsets are load-bearing: `by_id` indexes
-/// into them), and the retrain-policy counters. Restoring this state and
-/// continuing to mutate produces byte-identical behavior to the original
-/// index, which is what lets journal checkpoints cover the ingest path.
+/// The layout of an [`IvfIndex`]: centroids, each partition's records *in
+/// storage order* (offsets are load-bearing: `by_id` indexes into them),
+/// and the retrain-policy counters — everything but the record vectors.
+/// Restoring a layout with the same vectors and continuing to mutate
+/// behaves byte-identically to the original index, which is what lets
+/// journal checkpoints cover the ingest path without storing embeddings.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct IvfState {
     /// Vector dimensionality.
@@ -324,7 +319,7 @@ pub struct IvfState {
     pub seed: u64,
     /// Partition centroids (empty = untrained).
     pub centroids: Vec<Embedding>,
-    /// Per-partition records, inner order preserved.
+    /// Per-partition record layouts, inner order preserved.
     pub partitions: Vec<Vec<RecordState>>,
     /// Partition count requested by the last `train` call.
     pub target_partitions: u64,
@@ -336,6 +331,46 @@ pub struct IvfState {
     pub trains: u64,
 }
 
+/// Why [`IvfIndex::from_state`] refused a layout.
+#[derive(Debug, Clone, PartialEq)]
+pub enum StateError {
+    /// The vector lookup has no vector for this record id.
+    MissingVector(u64),
+    /// The looked-up vector for this record id has the wrong length.
+    WrongDims {
+        /// The record id.
+        id: u64,
+        /// The layout's dimensionality.
+        expected: usize,
+        /// The looked-up vector's dimensionality.
+        found: usize,
+    },
+    /// The layout lists this record id more than once.
+    DuplicateId(u64),
+}
+
+impl std::fmt::Display for StateError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            StateError::MissingVector(id) => {
+                write!(f, "index layout names record {id}, which has no vector")
+            }
+            StateError::WrongDims { id, expected, found } => {
+                write!(f, "record {id} has a {found}-dim vector in a {expected}-dim index layout")
+            }
+            StateError::DuplicateId(id) => write!(f, "index layout lists record {id} twice"),
+        }
+    }
+}
+
+impl std::error::Error for StateError {}
+
+/// Inverted-file (IVF) index: records are partitioned by k-means over a
+/// training sample; queries probe the `nprobe` nearest partitions.
+///
+/// Until [`IvfIndex::train`] is called (or before `train_threshold` records
+/// exist), searches fall back to an exact scan, so the index is always
+/// correct — training only changes the speed/recall trade-off.
 #[derive(Debug, Clone)]
 pub struct IvfIndex {
     dims: usize,
@@ -401,16 +436,18 @@ impl IvfIndex {
         self.quant = enabled;
     }
 
-    /// Snapshot the full index state for serialization (see [`IvfState`]).
+    /// Snapshot the index layout for serialization (see [`IvfState`]).
+    /// Record vectors are left out: the owner keeps them and hands them
+    /// back to [`from_state`](Self::from_state).
     pub fn to_state(&self) -> IvfState {
-        let ser_record = |r: Record| {
-            let mut metadata: Vec<MetaPair> = r
-                .metadata
-                .into_iter()
-                .map(|(key, value)| MetaPair { key, value })
+        let layout = |p: &RowPool, slot: usize| {
+            let mut metadata: Vec<MetaPair> = p
+                .meta(slot)
+                .iter()
+                .map(|(key, value)| MetaPair { key: key.clone(), value: value.clone() })
                 .collect();
             metadata.sort_by(|a, b| a.key.cmp(&b.key));
-            RecordState { id: r.id, vector: r.vector, metadata }
+            RecordState { id: p.id(slot), metadata }
         };
         IvfState {
             dims: self.dims as u64,
@@ -420,7 +457,7 @@ impl IvfIndex {
             partitions: self
                 .partitions
                 .iter()
-                .map(|p| (0..p.len()).map(|slot| ser_record(p.record(slot))).collect())
+                .map(|p| (0..p.len()).map(|slot| layout(p, slot)).collect())
                 .collect(),
             target_partitions: self.target_partitions as u64,
             mutations: self.mutations as u64,
@@ -429,52 +466,55 @@ impl IvfIndex {
         }
     }
 
-    /// Rebuild an index from a serialized snapshot. The recorder starts
-    /// disabled — reattach one with [`set_recorder`](Self::set_recorder).
-    pub fn from_state(state: IvfState) -> IvfIndex {
+    /// Rebuild an index from its layout, taking each record's vector from
+    /// `vector_of(id)`. Records are pushed in their stored order, so slot
+    /// offsets, norms and quantized codes come out identical to the index
+    /// that wrote the layout when the vectors are. An id without a vector,
+    /// a vector of the wrong dimensionality, or an id listed twice is an
+    /// error. The recorder starts disabled — reattach one with
+    /// [`set_recorder`](Self::set_recorder).
+    pub fn from_state<'v>(
+        state: IvfState,
+        mut vector_of: impl FnMut(u64) -> Option<&'v Embedding>,
+    ) -> Result<IvfIndex, StateError> {
         let dims = (state.dims as usize).max(1);
         let mut centroids = state.centroids;
-        let mut record_partitions: Vec<Vec<Record>> = state
-            .partitions
-            .into_iter()
-            .map(|p| {
-                p.into_iter()
-                    .filter(|r| r.vector.dims() == dims) // defensive: drop corrupt rows
-                    .map(|r| {
-                        let mut metadata = HashMap::new();
-                        for m in r.metadata {
-                            metadata.insert(m.key, m.value);
-                        }
-                        Record { id: r.id, vector: r.vector, metadata }
-                    })
-                    .collect()
-            })
-            .collect();
-        // Defensive repair of inconsistent snapshots: `assign` indexes
+        let mut layout = state.partitions;
+        // Defensive repair of inconsistent layouts: `assign` indexes
         // partitions by centroid position, so a count mismatch would panic.
         // Collapse to the untrained-but-correct single-partition layout.
-        if centroids.len() != record_partitions.len() && !centroids.is_empty() {
+        if !centroids.is_empty()
+            && (centroids.len() != layout.len() || centroids.iter().any(|c| c.dims() != dims))
+        {
             centroids.clear();
-            record_partitions = vec![record_partitions.into_iter().flatten().collect()];
+            layout = vec![layout.into_iter().flatten().collect()];
         }
-        if record_partitions.is_empty() {
-            record_partitions = vec![Vec::new()];
+        if layout.is_empty() {
+            layout = vec![Vec::new()];
         }
-        let partitions: Vec<RowPool> = record_partitions
-            .into_iter()
-            .map(|records| {
-                let mut pool = RowPool::new(dims);
-                for r in records {
-                    pool.push(r);
+        let mut partitions = Vec::with_capacity(layout.len());
+        let mut by_id = HashMap::new();
+        for (p, records) in layout.into_iter().enumerate() {
+            let mut pool = RowPool::new(dims);
+            for r in records {
+                let vector = vector_of(r.id).ok_or(StateError::MissingVector(r.id))?;
+                if vector.dims() != dims {
+                    let found = vector.dims();
+                    return Err(StateError::WrongDims { id: r.id, expected: dims, found });
                 }
-                pool
-            })
-            .collect();
-        let mut idx = IvfIndex {
+                if by_id.insert(r.id, (p, pool.len())).is_some() {
+                    return Err(StateError::DuplicateId(r.id));
+                }
+                let metadata = r.metadata.into_iter().map(|m| (m.key, m.value)).collect();
+                pool.push(Record { id: r.id, vector: vector.clone(), metadata });
+            }
+            partitions.push(pool);
+        }
+        Ok(IvfIndex {
             dims,
             centroids,
             partitions,
-            by_id: HashMap::new(),
+            by_id,
             nprobe: (state.nprobe as usize).max(1),
             seed: state.seed,
             rec: Recorder::disabled(),
@@ -483,9 +523,7 @@ impl IvfIndex {
             retrain_staleness: state.retrain_staleness,
             trains: state.trains,
             quant: true,
-        };
-        idx.rebuild_id_map();
-        idx
+        })
     }
 
     /// Train `n_partitions` k-means centroids on the current contents and
@@ -788,62 +826,153 @@ mod tests {
         assert_eq!(hits[0].id, 3);
     }
 
+    /// A layout restored over the same vectors is the same index: the
+    /// serialized layout holds no vector, every slot comes back in place,
+    /// searches (quantized scan included) match, and further mutations —
+    /// an auto-retrain among them — keep matching.
     #[test]
     fn ivf_state_roundtrip_preserves_structure_and_behavior() {
-        let mut idx = IvfIndex::new(2, 2);
-        for i in 0..12u64 {
-            let angle = i as f32 * 0.5;
+        use rand::Rng;
+        use rand_chacha::rand_core::SeedableRng;
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(13);
+        let dims = 16;
+        let rand_vec = |rng: &mut rand_chacha::ChaCha8Rng| {
+            Embedding::new((0..dims).map(|_| rng.gen_range(-1.0f32..1.0)).collect())
+        };
+        // The owner's vector store: every vector ever inserted, by id. It
+        // keeps removed ids too — membership must come from the layout.
+        let mut vectors: HashMap<u64, Embedding> = HashMap::new();
+        let mut idx = IvfIndex::new(dims, 1);
+        idx.set_retrain_policy(Some(0.1));
+        for i in 0..3000u64 {
+            let v = rand_vec(&mut rng);
             idx.insert(
-                Record::new(i, vec2(angle.cos(), angle.sin()))
+                Record::new(i, v.clone())
                     .with_meta("label", if i % 2 == 0 { "even" } else { "odd" })
                     .with_meta("src", "test"),
             );
+            vectors.insert(i, v);
         }
-        idx.train(3);
-        idx.insert(Record::new(12, vec2(0.1, 0.9)));
-        idx.remove(3);
+        idx.train(2);
+        let upsert = rand_vec(&mut rng);
+        idx.insert(Record::new(7, upsert.clone()));
+        vectors.insert(7, upsert);
+        assert!(idx.remove(3));
+        assert!(
+            idx.partitions.iter().all(|p| p.len() >= QUANT_MIN_ROWS),
+            "partitions too small for the quantized scan"
+        );
 
         let state = idx.to_state();
         // JSON round trip: what a journal checkpoint actually stores.
         let json = serde_json::to_string(&state).unwrap();
+        assert!(!json.contains("vector"), "layout serialized a vector field");
         let state2: IvfState = serde_json::from_str(&json).unwrap();
         assert_eq!(state, state2);
 
-        let restored = IvfIndex::from_state(state2);
+        let restored = IvfIndex::from_state(state2, |id| vectors.get(&id)).unwrap();
+        assert_eq!(restored.to_state(), state);
         assert_eq!(restored.len(), idx.len());
+        assert!(restored.get(3).is_none(), "removed record restored");
         assert_eq!(restored.train_count(), idx.train_count());
         assert_eq!(restored.mutations_since_train(), idx.mutations_since_train());
-        // Identical structure ⇒ identical search results…
-        let q = vec2(0.6, 0.8);
-        assert_eq!(restored.search(&q, 5), idx.search(&q, 5));
+        for (p, (a, b)) in idx.partitions.iter().zip(&restored.partitions).enumerate() {
+            for slot in 0..a.len() {
+                assert_eq!(a.id(slot), b.id(slot), "partition {p} slot {slot}");
+                let bits = |r: &[f32]| r.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(a.row(slot)), bits(b.row(slot)), "partition {p} slot {slot}");
+            }
+        }
+        // Identical structure ⇒ identical search results, on the quantized
+        // path and the exact one, filtered or not…
+        let filter = Filter::none().must("label", "odd");
+        let queries = [rand_vec(&mut rng), rand_vec(&mut rng), Embedding::new(vec![0.25; dims])];
+        let mut exact = restored.clone();
+        exact.set_quantization(false);
+        for (qi, q) in queries.iter().enumerate() {
+            for k in [1usize, 10, 50] {
+                let ctx = format!("q{qi} k{k}");
+                assert_same_hits(&idx.search(q, k), &restored.search(q, k), &ctx);
+                assert_same_hits(&idx.search(q, k), &exact.search(q, k), &ctx);
+                assert_same_hits(
+                    &idx.search_filtered(q, k, &filter),
+                    &restored.search_filtered(q, k, &filter),
+                    &ctx,
+                );
+            }
+        }
         // …and identical behavior under further mutations (auto-retrain
         // counters continue from the restored values).
         let mut a = idx.clone();
         let mut b = restored;
-        for i in 20..40u64 {
-            let angle = i as f32 * 0.31;
-            a.insert(Record::new(i, vec2(angle.sin(), angle.cos())));
-            b.insert(Record::new(i, vec2(angle.sin(), angle.cos())));
+        let trains = a.train_count();
+        for i in 5000..5400u64 {
+            let v = rand_vec(&mut rng);
+            a.insert(Record::new(i, v.clone()));
+            b.insert(Record::new(i, v));
         }
+        assert!(a.train_count() > trains, "no auto-retrain fired");
         assert_eq!(a.train_count(), b.train_count());
-        assert_eq!(a.search(&q, 8), b.search(&q, 8));
+        assert_eq!(a.to_state(), b.to_state());
+        for q in &queries {
+            assert_same_hits(&a.search(q, 20), &b.search(q, 20), "after mutations");
+        }
     }
 
     #[test]
     fn ivf_state_repairs_inconsistent_partition_layout() {
         let mut idx = IvfIndex::new(2, 1);
-        for i in 0..6u64 {
-            idx.insert(Record::new(i, vec2(i as f32, 1.0)));
+        let vectors: Vec<Embedding> = (0..6).map(|i| vec2(i as f32, 1.0)).collect();
+        for (i, v) in vectors.iter().enumerate() {
+            idx.insert(Record::new(i as u64, v.clone()));
         }
         idx.train(2);
         let mut state = idx.to_state();
         // Simulate a snapshot whose partition list lost a bucket: the
         // restore must not leave `assign` pointing past the end.
         state.partitions.pop();
-        let restored = IvfIndex::from_state(state);
+        let restored = IvfIndex::from_state(state, |id| vectors.get(id as usize)).unwrap();
+        assert!(!restored.is_trained());
         assert!(restored.len() <= 6);
         let hits = restored.search(&vec2(2.0, 1.0), 3);
         assert!(!hits.is_empty());
+        // A centroid of the wrong dimensionality would fail the distance
+        // kernel's length check at the next insert or search.
+        let mut state = idx.to_state();
+        state.centroids[0] = Embedding::new(vec![1.0, 0.0, 0.0]);
+        let mut restored = IvfIndex::from_state(state, |id| vectors.get(id as usize)).unwrap();
+        assert!(!restored.is_trained());
+        assert_eq!(restored.len(), 6);
+        restored.insert(Record::new(9, vec2(-1.0, 0.2)));
+        assert_eq!(restored.search(&vec2(-1.0, 0.2), 1)[0].id, 9);
+    }
+
+    #[test]
+    fn ivf_state_refuses_missing_misshapen_or_duplicate_records() {
+        let mut idx = IvfIndex::new(2, 1);
+        let vectors: Vec<Embedding> = (0..6).map(|i| vec2(i as f32, 1.0)).collect();
+        for (i, v) in vectors.iter().enumerate() {
+            idx.insert(Record::new(i as u64, v.clone()));
+        }
+        idx.train(2);
+        let state = idx.to_state();
+        let lookup = |id: u64| vectors.get(id as usize);
+
+        let err = IvfIndex::from_state(state.clone(), |id| lookup(id).filter(|_| id != 5));
+        assert_eq!(err.unwrap_err(), StateError::MissingVector(5));
+
+        let wide = Embedding::new(vec![1.0, 0.0, 0.0]);
+        let err =
+            IvfIndex::from_state(state.clone(), |id| if id == 2 { Some(&wide) } else { lookup(id) });
+        assert_eq!(err.unwrap_err(), StateError::WrongDims { id: 2, expected: 2, found: 3 });
+
+        let mut dup = state.clone();
+        let first = dup.partitions.iter().flatten().next().cloned().unwrap();
+        dup.partitions.last_mut().unwrap().push(first.clone());
+        let err = IvfIndex::from_state(dup, lookup);
+        assert_eq!(err.unwrap_err(), StateError::DuplicateId(first.id));
+
+        assert!(IvfIndex::from_state(state, lookup).is_ok());
     }
 
     #[test]

@@ -28,10 +28,13 @@
 #                   run the checkpoint/compaction/recovery suite on its own
 #                   (checkpoint -> compact -> kill -> recover cycle at every
 #                   seam, point-in-time recover_at, corruption fuzz, journal
-#                   locking), the torn-tail truncation property test, and
-#                   the apply-path convergence suite (resume, recover_latest
+#                   locking), the torn-tail truncation property test, the
+#                   apply-path convergence suite (resume, recover_latest
 #                   and an apply_tail follower reach the leader's state on
-#                   every journal prefix).
+#                   every journal prefix), and the vectordb and core unit
+#                   tests — the checkpoint format spans both crates (the
+#                   document index is stored as a vector-free layout and
+#                   rebuilt from row embeddings on restore).
 #   --scaling-smoke run the scaling + search stages of the pipeline bench on
 #                   a reduced matrix (threads sweep, smoke corpus sizes) and
 #                   schema-validate the emitted JSON. Curves are recorded,
@@ -134,6 +137,8 @@ fi
 if [[ "$checkpoint_smoke" == 1 ]]; then
   echo "==> checkpoint smoke (checkpoint/compact/kill/recover, corruption fuzz, apply convergence)"
   cargo test -q --test checkpoint_recovery --test journal_truncation --test apply_convergence
+  cargo test -q -p allhands-vectordb
+  cargo test -q -p allhands-core --lib
 fi
 
 if [[ "$scaling_smoke" == 1 ]]; then

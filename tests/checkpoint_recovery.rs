@@ -484,6 +484,43 @@ fn recovery_is_byte_identical_across_threads_and_chaos() {
     }
 }
 
+/// A retract is not a WAL entry, but a checkpoint written after it stores
+/// the document index's layout — membership, not just vectors — so
+/// `recover_latest` restores the index without the retracted row.
+#[test]
+fn a_retract_before_a_checkpoint_survives_recover_latest() {
+    let _g = GLOBAL_GUARD.lock().unwrap_or_else(|p| p.into_inner());
+    // every=2: the checkpoint at batch 1 follows the retract, and batch 2's
+    // delta replays on top of it.
+    let config = || with_policy(tuned(AllHandsConfig::default()), 2, 2);
+    let (texts, labeled, predefined) = corpus();
+    let query = texts[3].clone();
+    let dir = scratch_dir("retract");
+    let (mut ah, _frame) = AllHands::builder(ModelTier::Gpt4)
+        .config(config())
+        .journal(JournalMode::Continue(dir.clone()))
+        .analyze(&texts, &labeled, &predefined)
+        .unwrap();
+    let batches = batches();
+    ah.ingest(&batches[0]).unwrap();
+    let top = ah.search_similar(&query, 5).unwrap()[0].0;
+    assert!(ah.retract(top).unwrap(), "top hit {top} was not in the index");
+    ah.ingest(&batches[1]).unwrap();
+    ah.ingest(&batches[2]).unwrap();
+    let live = ah.search_similar(&query, 5).unwrap();
+    assert!(live.iter().all(|&(id, _)| id != top), "retracted row {top} in {live:?}");
+    drop(ah);
+
+    let (mut recovered, _frame) = recover(config(), &dir, None).expect("recover_latest");
+    assert_eq!(recovered.ingested_batches(), batches.len());
+    assert_eq!(recovered.run_report().counter("recover.delta_replays"), 1);
+    let after = recovered.search_similar(&query, 5).unwrap();
+    assert_eq!(after, live, "recovered top-k diverged from the live session's");
+    assert!(after.iter().all(|&(id, _)| id != top), "retracted row {top} came back");
+    drop(recovered);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Deterministic xorshift64* for the corruption fuzz offsets.
 fn xorshift(state: &mut u64) -> u64 {
     let mut x = *state;
