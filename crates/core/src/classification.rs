@@ -485,7 +485,7 @@ mod tests {
         let llm = SimLlm::gpt4();
         let (pool, labels) = pool();
         let clf = IclClassifier::fit(&llm, &pool, &labels, IclConfig::default());
-        let texts: Vec<String> = (0..25)
+        let texts: Vec<String> = (0..100)
             .map(|i| {
                 if i % 2 == 0 {
                     format!("crash bug error in build {i}")
@@ -494,6 +494,8 @@ mod tests {
                 }
             })
             .collect();
+        // Below the fast-path floor the batch never reaches the pool.
+        assert!(texts.len() >= 2 * allhands_par::SEQ_FASTPATH_MIN);
         let serial: Vec<String> = texts.iter().map(|t| clf.classify(t)).collect();
         for threads in [1usize, 2, 8] {
             let batch = allhands_par::with_threads(threads, || clf.classify_batch(&texts));
@@ -509,9 +511,17 @@ mod tests {
         use allhands_resilience::{ResilienceConfig, ResilienceCtx};
         let llm = SimLlm::gpt4();
         let (pool, labels) = pool();
-        let texts: Vec<String> = (0..30)
-            .map(|i| format!("crash bug error report {i}"))
+        // Mixed labels, so a result landing at the wrong index shows.
+        let texts: Vec<String> = (0..100)
+            .map(|i| {
+                if i % 2 == 0 {
+                    format!("crash bug error report {i}")
+                } else {
+                    format!("haha nice {i}")
+                }
+            })
             .collect();
+        assert!(texts.len() >= 2 * allhands_par::SEQ_FASTPATH_MIN);
         let run_serial = || {
             let ctx = Arc::new(ResilienceCtx::new(ResilienceConfig::chaos(5, 0.9)));
             let clf = IclClassifier::fit(&llm, &pool, &labels, IclConfig::default())

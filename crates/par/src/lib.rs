@@ -11,7 +11,7 @@
 //!   lands at its input's index, the output is byte-identical for any
 //!   thread count, including 1.
 //! - The thread count comes from, in priority order: a programmatic
-//!   override ([`set_thread_override`], used by tests and benches), the
+//!   override ([`set_thread_override`], used by tests), the
 //!   `ALLHANDS_THREADS` environment variable, and finally
 //!   `std::thread::available_parallelism()`. A value of 1 is a true serial
 //!   fallback: no threads are involved at all.
@@ -21,7 +21,7 @@
 //! Helpers come from a lazily-spawned **persistent worker pool** — the
 //! original implementation spawned a fresh scoped `std::thread` per helper
 //! per call, and at pipeline chunk sizes the spawn/join cost alone ate the
-//! entire parallel win (BENCH_pipeline.json speedups of 0.89–1.03×).
+//! entire parallel win (measured serial-vs-parallel speedups of 0.89–1.03×).
 //! Workers park on a condvar between calls; a call hands them a
 //! type-erased borrow of its chunk-claim loop and always waits (even on
 //! panic) for every handed-out ticket to retire before returning, which is

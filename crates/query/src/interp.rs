@@ -15,9 +15,9 @@ use allhands_obs::Recorder;
 use std::collections::HashMap;
 
 /// Which execution strategy frame-method chains use at the top level of a
-/// cell. Both engines are contractually byte-identical; `RowWise` exists as
-/// an escape hatch (`ALLHANDS_QUERY_ENGINE=rowwise`) and as the reference
-/// side of the differential test suite.
+/// cell. Both engines are contractually byte-identical; `RowWise` is the
+/// reference side of the differential test suite and the path the
+/// vectorized engine falls back to on any error.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QueryEngine {
     /// Lower method chains to a plan IR, optimize, and run column-batch
@@ -27,26 +27,7 @@ pub enum QueryEngine {
     RowWise,
 }
 
-impl QueryEngine {
-    /// Parse the `ALLHANDS_QUERY_ENGINE` value; anything but `rowwise`
-    /// selects the vectorized engine.
-    pub fn from_env_value(s: &str) -> QueryEngine {
-        if s.eq_ignore_ascii_case("rowwise") {
-            QueryEngine::RowWise
-        } else {
-            QueryEngine::Vectorized
-        }
-    }
-
-    fn from_env() -> QueryEngine {
-        match std::env::var("ALLHANDS_QUERY_ENGINE") {
-            Ok(v) => QueryEngine::from_env_value(&v),
-            Err(_) => QueryEngine::Vectorized,
-        }
-    }
-}
-
-/// Plan-cache counters, exposed for benches and tests (the same numbers
+/// Plan-cache counters, exposed for tests (the same numbers
 /// are recorded as volatile `query.plan.*` obs counters).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlanCacheStats {
@@ -181,14 +162,14 @@ impl Interpreter {
             cell_deadline: None,
             steps_taken: 0,
             effects: Effects::default(),
-            engine: QueryEngine::from_env(),
+            engine: QueryEngine::Vectorized,
             plan_cache: HashMap::new(),
             plan_stats: PlanCacheStats::default(),
             recorder: Recorder::disabled(),
         }
     }
 
-    /// Override the execution engine (tests, benches, escape hatches).
+    /// Override the execution engine (the differential tests run both).
     pub fn set_engine(&mut self, engine: QueryEngine) {
         self.engine = engine;
     }

@@ -101,8 +101,7 @@ impl Session {
     }
 
     /// Override the query execution engine (defaults to the vectorized
-    /// planner; `ALLHANDS_QUERY_ENGINE=rowwise` selects the row-wise
-    /// reference engine).
+    /// planner; `RowWise` selects the row-wise reference engine).
     pub fn set_engine(&mut self, engine: crate::interp::QueryEngine) {
         self.interp.set_engine(engine);
     }

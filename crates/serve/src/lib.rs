@@ -152,7 +152,7 @@ pub struct Corpus {
 impl Corpus {
     /// A deterministic synthetic corpus (the paper's GoogleStoreApp shape):
     /// `n` documents, the first half labeled, and a fixed predefined-topic
-    /// seed list. Used by the `--smoke` path and the benches.
+    /// seed list. Used by the `--smoke` path and the benchmark.
     pub fn synthetic(n: usize, seed: u64) -> Self {
         let records = generate_n(DatasetKind::GoogleStoreApp, n, seed);
         let texts: Vec<String> = records.iter().map(|r| r.text.clone()).collect();

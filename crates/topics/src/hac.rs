@@ -474,7 +474,9 @@ mod tests {
     /// initial matrix fill).
     #[test]
     fn identical_across_thread_counts() {
-        let points = fixture(30, 8, 3);
+        let points = fixture(100, 8, 3);
+        // Below the fast-path floor the matrix fill never reaches the pool.
+        assert!(points.len() >= 2 * allhands_par::SEQ_FASTPATH_MIN);
         let serial = allhands_par::with_threads(1, || {
             agglomerative_clusters(&points, Linkage::Average, 0.3)
         });

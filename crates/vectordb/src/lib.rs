@@ -229,7 +229,7 @@ impl FlatIndex {
 
     /// Enable/disable the quantized candidate-pruning scan (on by default).
     /// Results are byte-identical either way — this is a speed toggle, used
-    /// by the benches to A/B the exact and quantized paths.
+    /// by the tests to A/B the exact and quantized paths.
     pub fn set_quantization(&mut self, enabled: bool) {
         self.quant = enabled;
     }

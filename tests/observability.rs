@@ -50,6 +50,7 @@ fn instrumented_run(config: AllHandsConfig, n: usize) -> (String, RunReport) {
         out.push_str(&ah.ask(q).expect("ask failed").render());
     }
     let report = ah.run_report();
+    allhands::obs::validate_report_json(&report.to_json()).expect("run report schema");
     (out, report)
 }
 

@@ -1,17 +1,17 @@
 //! Differential tests between the two AQL execution engines.
 //!
 //! The vectorized planner (`QueryEngine::Vectorized`, the default) and the
-//! row-wise tree walker (`QueryEngine::RowWise`, the
-//! `ALLHANDS_QUERY_ENGINE=rowwise` escape hatch) are contractually
-//! byte-identical: same shown values, same logs, same error strings. This
-//! suite checks that contract three ways — on every reference program of
-//! the 90-question benchmark, on randomized frames × randomized method
+//! row-wise tree walker (`QueryEngine::RowWise`, its fallback) are
+//! contractually byte-identical: same shown values, same logs, same error
+//! strings. This suite checks that contract three ways — on every reference
+//! program of the 90-question benchmark (plus one numeric chain over a
+//! generated frame), on randomized frames × randomized method
 //! chains (with join keys straddling 2^53 and ±0.0, the historical
 //! `join_key` collision cases), and on targeted plan-cache/optimizer
 //! behavior.
 
 use allhands::dataframe::{Column, DataFrame};
-use allhands::datasets::{dataset_frame, generate, questions_for, DatasetKind};
+use allhands::datasets::{dataset_frame, generate, generate_n, questions_for, DatasetKind};
 use allhands::query::{QueryEngine, Session, SessionLimits};
 use proptest::prelude::*;
 
@@ -55,9 +55,21 @@ fn diff_all(kind: DatasetKind) {
     }
 }
 
+/// The canonical generated-program shape: the derive and filter hit the
+/// typed numeric batch kernels, projection pruning drops the text column
+/// before any rows materialize, and the sort + head pair fuses into top-k.
+const NUMERIC_CHAIN: &str = r#"show(feedback.derive("s2", sentiment * 2.0 + text_len * 0.5 - 1.0).filter(s2 > 50.0 && sentiment >= -1.0).group_by("label", mean("s2"), count()).sort("count", "desc").head(5))"#;
+
+/// A 2,000-row generated GoogleStoreApp frame for [`NUMERIC_CHAIN`].
+fn numeric_chain_frame() -> DataFrame {
+    let kind = DatasetKind::GoogleStoreApp;
+    dataset_frame(kind, &generate_n(kind, 2_000, 42))
+}
+
 #[test]
 fn google_references_identical_across_engines() {
     diff_all(DatasetKind::GoogleStoreApp);
+    assert_identical(&[("feedback", &numeric_chain_frame())], NUMERIC_CHAIN);
 }
 
 #[test]
@@ -185,14 +197,6 @@ fn step_budget_exhaustion_identical_across_engines() {
 }
 
 #[test]
-fn engine_env_value_parsing() {
-    assert_eq!(QueryEngine::from_env_value("rowwise"), QueryEngine::RowWise);
-    assert_eq!(QueryEngine::from_env_value("RowWise"), QueryEngine::RowWise);
-    assert_eq!(QueryEngine::from_env_value("vectorized"), QueryEngine::Vectorized);
-    assert_eq!(QueryEngine::from_env_value(""), QueryEngine::Vectorized);
-}
-
-#[test]
 fn plan_cache_warms_on_repeated_shapes() {
     let left = tricky_left();
     let src = r#"show(feedback.filter(v > 0).group_by("k", count()).sort("count", "desc").head(2))"#;
@@ -211,6 +215,21 @@ fn plan_cache_warms_on_repeated_shapes() {
     let r = session.execute(r#"show(feedback.filter(v > 1).head(1))"#);
     assert!(r.error.is_none(), "{:?}", r.error);
     assert_eq!(session.plan_cache_stats().misses, 2);
+
+    // The numeric chain over a generated frame: one lowering, then every
+    // repeat hits and none falls back to row-wise.
+    let repeats = 5;
+    let mut session = Session::new(SessionLimits::default());
+    session.set_engine(QueryEngine::Vectorized);
+    session.bind_frame("feedback", numeric_chain_frame());
+    for _ in 0..repeats {
+        let r = session.execute(NUMERIC_CHAIN);
+        assert!(r.error.is_none(), "{:?}", r.error);
+    }
+    let stats = session.plan_cache_stats();
+    assert_eq!(stats.misses, 1, "{stats:?}");
+    assert_eq!(stats.hits, repeats - 1, "{stats:?}");
+    assert_eq!(stats.fallbacks, 0, "{stats:?}");
 }
 
 #[test]
