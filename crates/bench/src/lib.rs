@@ -33,20 +33,24 @@ pub fn format_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     out
 }
 
+/// The experiment-output directory, relative to the workspace root.
+const RESULTS_SUBDIR: &str = "target/experiments";
+
 /// Where experiment outputs are persisted (JSON per experiment).
 pub fn results_dir() -> PathBuf {
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../../target/experiments");
+    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..").join(RESULTS_SUBDIR);
     std::fs::create_dir_all(&dir).expect("create experiments dir");
     dir
 }
 
-/// Persist an experiment's structured results as JSON.
+/// Persist an experiment's structured results as JSON. The printed path is
+/// relative to the workspace root, so two checkouts print the same line.
 pub fn save_json(name: &str, value: &serde_json::Value) {
-    let path = results_dir().join(format!("{name}.json"));
+    let file = format!("{name}.json");
+    let path = results_dir().join(&file);
     std::fs::write(&path, serde_json::to_string_pretty(value).expect("serialize"))
         .unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
-    println!("\n[saved {}]", path.display());
+    println!("\n[saved {RESULTS_SUBDIR}/{file}]");
 }
 
 /// Render a simple horizontal-bar "figure" for terminal output.

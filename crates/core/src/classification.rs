@@ -213,24 +213,24 @@ impl<'a> IclClassifier<'a> {
 
     /// Retrieve the top-K demonstration examples for a query text.
     pub fn retrieve(&self, text: &str) -> Vec<Demonstration> {
-        self.retrieve_embedded(text)
+        self.retrieve_embedded(&self.llm.embedder().embed(text))
             .into_iter()
             .map(|ed| ed.demo)
             .collect()
     }
 
-    /// [`retrieve`](Self::retrieve), surfacing each demonstration's stored
-    /// index vector alongside it. The index stores exactly
-    /// `embed(demo.input)` (computed at fit time), so downstream scoring
-    /// can skip re-embedding every demonstration per classified text —
-    /// the seed's hidden (texts × shots) embedding cost.
-    pub fn retrieve_embedded(&self, text: &str) -> Vec<EmbeddedDemonstration> {
+    /// [`retrieve`](Self::retrieve) for an already-embedded query
+    /// (`embed(text)`), surfacing each demonstration's stored index vector
+    /// alongside it. The index stores exactly `embed(demo.input)` (computed
+    /// at fit time), so downstream scoring can skip re-embedding every
+    /// demonstration per classified text — the seed's hidden (texts ×
+    /// shots) embedding cost.
+    pub fn retrieve_embedded(&self, query: &Embedding) -> Vec<EmbeddedDemonstration> {
         if self.config.shots == 0 || self.demos.pool.is_empty() {
             return Vec::new();
         }
-        let query = self.llm.embedder().embed(text);
         self.demos.index
-            .search(&query, self.config.shots)
+            .search(query, self.config.shots)
             .into_iter()
             .map(|hit| {
                 let ex = &self.demos.pool[hit.id as usize];
@@ -273,10 +273,13 @@ impl<'a> IclClassifier<'a> {
         }
     }
 
+    /// The LLM path for one text. The text is embedded once: the vector is
+    /// both the retrieval query and the head's sentence embedding.
     fn classify_direct(&self, text: &str) -> String {
-        let demos = self.retrieve_embedded(text);
+        let text_emb = self.llm.embedder().embed(text);
+        let demos = self.retrieve_embedded(&text_emb);
         self.head
-            .classify_embedded(text, &self.demos.labels, &demos, &self.config.chat)
+            .classify_embedded(text, &text_emb, &self.demos.labels, &demos, &self.config.chat)
     }
 
     /// Classify a batch of texts, identical output to mapping

@@ -17,8 +17,11 @@
 //! the refined list and augmented demonstrations.
 
 use allhands_embed::Embedding;
-use allhands_llm::{ChatOptions, Demonstration, SimLlm, TopicRequest, TopicResponse};
+use allhands_llm::{
+    ChatOptions, Demonstration, SimLlm, SummarizeHead, TopicRequest, TopicResponse,
+};
 use allhands_resilience::{BreakerState, Head, ResilienceCtx};
+use allhands_text::TrigramSet;
 use allhands_topics::{agglomerative_clusters, BartScorer, Linkage};
 use allhands_vectordb::{IvfIndex, Record, VectorIndex};
 use std::collections::HashMap;
@@ -127,10 +130,13 @@ impl<'a> AbstractiveTopicModeler<'a> {
         let _stage = rec.span("topics");
         rec.add("topics.docs", texts.len() as u64);
         let speller = Speller::fit(texts);
+        // One head for the whole run: round 2 and its retrieved
+        // demonstrations reuse the stemmed document vectors round 1 made.
+        let head = self.llm.summarize_head();
         let mut topic_list: Vec<String> = predefined.to_vec();
         let (mut doc_topics, round1_degraded, round1_quarantined) = {
             let _round = rec.span("round[0]");
-            self.modeling_round(texts, &mut topic_list, &HashMap::new(), &speller)
+            self.modeling_round(&head, texts, &mut topic_list, &HashMap::new(), &speller)
         };
         let mut reviewer_removed = 0usize;
         let mut degradation: Vec<String> = Vec::new();
@@ -166,12 +172,12 @@ impl<'a> AbstractiveTopicModeler<'a> {
             } else {
                 for round in 0..self.config.rounds.max(1) {
                     let (refined_list, removed, retrieval) =
-                        self.refine(texts, &doc_topics, predefined);
+                        self.refine(&head, texts, &doc_topics, predefined);
                     reviewer_removed += removed;
                     topic_list = refined_list;
                     let (round_topics, round_degraded, _) = {
                         let _round = rec.span(&format!("round[{}]", round + 1));
-                        self.modeling_round(texts, &mut topic_list, &retrieval, &speller)
+                        self.modeling_round(&head, texts, &mut topic_list, &retrieval, &speller)
                     };
                     doc_topics = round_topics;
                     if round_degraded > 0 {
@@ -208,7 +214,8 @@ impl<'a> AbstractiveTopicModeler<'a> {
         corpus: &[String],
     ) -> (Vec<Vec<String>>, usize, usize) {
         let speller = Speller::fit(corpus);
-        self.modeling_round(texts, topic_list, &HashMap::new(), &speller)
+        let head = self.llm.summarize_head();
+        self.modeling_round(&head, texts, topic_list, &HashMap::new(), &speller)
     }
 
     /// One progressive-ICL pass. `retrieval` optionally maps document index
@@ -218,13 +225,13 @@ impl<'a> AbstractiveTopicModeler<'a> {
     /// as poison pills.
     fn modeling_round(
         &self,
+        head: &SummarizeHead<'_>,
         texts: &[String],
         topic_list: &mut Vec<String>,
         retrieval: &HashMap<usize, Vec<Demonstration>>,
         speller: &Speller,
     ) -> (Vec<Vec<String>>, usize, usize) {
         let rec = self.recorder();
-        let head = self.llm.summarize_head();
         let mut out = Vec::with_capacity(texts.len());
         let mut degraded = 0usize;
         let mut quarantined = 0usize;
@@ -298,6 +305,7 @@ impl<'a> AbstractiveTopicModeler<'a> {
     /// BARTScore-filtered retrieval pool construction.
     fn refine(
         &self,
+        head: &SummarizeHead<'_>,
         texts: &[String],
         doc_topics: &[Vec<String>],
         predefined: &[String],
@@ -361,7 +369,6 @@ impl<'a> AbstractiveTopicModeler<'a> {
             rec.add("topics.hac_clusters", clusters.iter().filter(|m| !m.is_empty()).count() as u64);
             clusters
         };
-        let head = self.llm.summarize_head();
         let mut refined: Vec<String> = Vec::new();
         {
             let _merge = rec.span("merge");
@@ -449,8 +456,9 @@ impl<'a> AbstractiveTopicModeler<'a> {
 /// surface forms are snapped to the most frequent trigram-similar corpus
 /// word; unknown junk is dropped.
 struct Speller {
-    /// Frequent corpus words, most frequent first.
-    common: Vec<(String, usize)>,
+    /// Frequent corpus words, most frequent first, each after its trigram
+    /// set, which is built once here rather than once per comparison.
+    common: Vec<(TrigramSet, String)>,
     /// Full frequency table.
     freq: HashMap<String, usize>,
 }
@@ -472,6 +480,7 @@ impl Speller {
             .collect();
         common.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         common.truncate(800);
+        let common = common.into_iter().map(|(w, _)| (TrigramSet::new(&w), w)).collect();
         Speller { common, freq }
     }
 
@@ -481,9 +490,10 @@ impl Speller {
         if self.freq.get(word).copied().unwrap_or(0) >= 8 {
             return Some(word.to_string());
         }
+        let grams = TrigramSet::new(word);
         let mut best: Option<(&str, f32)> = None;
-        for (candidate, _) in &self.common {
-            let sim = allhands_text::trigram_jaccard(word, candidate);
+        for (candidate_grams, candidate) in &self.common {
+            let sim = grams.jaccard(candidate_grams);
             if sim >= 0.5 && best.is_none_or(|(_, b)| sim > b) {
                 best = Some((candidate, sim));
             }

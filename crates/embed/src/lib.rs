@@ -31,7 +31,7 @@ pub mod hashing;
 pub mod vector;
 
 pub use hashing::{hash64, mix64};
-pub use vector::{dot_slices, norm_slice, sq_dist_slices, Embedding};
+pub use vector::{cosine_from_parts, dot_slices, norm_slice, sq_dist_slices, Embedding};
 
 use allhands_obs::Recorder;
 use allhands_text::{char_ngrams, detect_language, light_preprocess, Language};
@@ -229,10 +229,11 @@ fn to_unit(x: u32) -> f32 {
 ///
 /// The embedder is pure (same text → bit-identical vector), so memoization
 /// is observationally invisible — outputs cannot change, only redundant
-/// work disappears. Hot loops that repeatedly embed the same strings (label
-/// glosses per classification call, the topic list per document in
-/// progressive topic modeling) hold one `EmbedMemo` for the loop's
-/// lifetime. Thread-safe: the cache is split into [`MEMO_SHARDS`]
+/// work disappears. Hot loops that repeatedly embed the same strings hold
+/// one `EmbedMemo` for the loop's lifetime: the summarize head keeps one
+/// for a whole topic-modeling run, so a document embedded in round 1 is
+/// served from the memo in round 2 and again wherever round 2 retrieves it
+/// as a demonstration. Thread-safe: the cache is split into [`MEMO_SHARDS`]
 /// independently-locked shards keyed by the text's hash, so a memo shared
 /// by a parallel scoring loop serves hits from different shards without
 /// contending on one global mutex (the single-mutex version was a measured

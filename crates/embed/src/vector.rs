@@ -63,6 +63,18 @@ pub fn norm_slice(a: &[f32]) -> f32 {
     dot_slices(a, a).sqrt()
 }
 
+/// Cosine similarity from a dot product and the two vectors' norms: the
+/// formula of [`Embedding::cosine`], for callers that keep a vector's norm
+/// beside it. 0 when the norms' product is at most `f32::EPSILON`.
+pub fn cosine_from_parts(dot: f32, norm_a: f32, norm_b: f32) -> f32 {
+    let denom = norm_a * norm_b;
+    if denom <= f32::EPSILON {
+        0.0
+    } else {
+        (dot / denom).clamp(-1.0, 1.0)
+    }
+}
+
 /// Fixed pairwise lane reduction: the order is part of the determinism
 /// contract (any reorder would change low bits between builds).
 #[inline]
@@ -113,12 +125,7 @@ impl Embedding {
 
     /// Cosine similarity in [-1, 1]; 0 when either vector is zero.
     pub fn cosine(&self, other: &Embedding) -> f32 {
-        let denom = self.norm() * other.norm();
-        if denom <= f32::EPSILON {
-            0.0
-        } else {
-            (self.dot(other) / denom).clamp(-1.0, 1.0)
-        }
+        cosine_from_parts(self.dot(other), self.norm(), other.norm())
     }
 
     /// Squared Euclidean distance.

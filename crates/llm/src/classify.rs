@@ -16,18 +16,19 @@
 use crate::model::{ChatOptions, ModelSpec, ModelTier};
 use crate::prompt::{Demonstration, EmbeddedDemonstration, Prompt};
 use allhands_embed::{Embedding, SentenceEmbedder};
-use std::collections::HashMap;
+use allhands_text::TrigramSet;
+use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, RwLock};
 
 /// Everything the zero-shot prior needs about one label, computed once per
-/// head: the gloss text, its preprocessed words and stem set (for lexical
-/// affinity), and its embedding. Labels are fixed strings, so none of this
-/// depends on the text being classified — caching it removes an
-/// embed-per-(text × label) from the hot loop without changing a single
-/// output bit.
+/// head: the stem set and each gloss word's trigram set (for lexical
+/// affinity), and the gloss embedding. Labels are fixed strings, so none of
+/// this depends on the text being classified — caching it removes an
+/// embed-per-(text × label) and a trigram-set build per (content word ×
+/// gloss word) from the hot loop without changing a single output bit.
 struct GlossEntry {
-    words: Vec<String>,
-    stems: std::collections::HashSet<String>,
+    trigrams: Vec<TrigramSet>,
+    stems: HashSet<String>,
     embedding: Embedding,
 }
 
@@ -116,23 +117,23 @@ fn content_stems(text: &str) -> Vec<String> {
         .collect()
 }
 
-use allhands_text::trigram_jaccard;
-
 /// Fraction of the text's content words the gloss recognizes (exact stem
-/// match = 1.0 credit; fuzzy trigram match = 0.7 credit when enabled).
-fn lexical_affinity(text_tokens: &[String], gloss: &GlossEntry, fuzzy: bool) -> f32 {
+/// match = 1.0 credit; fuzzy trigram match = 0.7 credit when `fuzzy` holds
+/// the content words' trigram sets, aligned with `text_tokens`).
+fn lexical_affinity(
+    text_tokens: &[String],
+    fuzzy: Option<&[TrigramSet]>,
+    gloss: &GlossEntry,
+) -> f32 {
     if text_tokens.is_empty() {
         return 0.0;
     }
     let mut credit = 0.0f32;
-    for tok in text_tokens {
+    for (i, tok) in text_tokens.iter().enumerate() {
         if gloss.stems.contains(tok) {
             credit += 1.0;
         } else if fuzzy
-            && gloss
-                .words
-                .iter()
-                .any(|g| trigram_jaccard(tok, g) > 0.45)
+            .is_some_and(|sets| gloss.trigrams.iter().any(|g| sets[i].jaccard(g) > 0.45))
         {
             credit += 0.7;
         }
@@ -174,8 +175,9 @@ impl<'a> ClassifyHead<'a> {
         let gloss = label_gloss(label, self.spec.tier);
         let words: Vec<String> = allhands_text::light_preprocess(&gloss);
         let stems = words.iter().map(|w| allhands_text::porter_stem(w)).collect();
+        let trigrams = words.iter().map(|w| TrigramSet::new(w)).collect();
         let embedding = self.embedder.embed(&gloss);
-        let entry = Arc::new(GlossEntry { words, stems, embedding });
+        let entry = Arc::new(GlossEntry { trigrams, stems, embedding });
         Arc::clone(
             self.gloss_cache
                 .write()
@@ -206,22 +208,25 @@ impl<'a> ClassifyHead<'a> {
         self.decide(text, &text_emb, labels, &votes, opts)
     }
 
-    /// [`classify`](Self::classify) with precomputed demonstration
-    /// embeddings: no embedder call per demo. Output is bit-identical to
-    /// `classify` with the same demos, because retrieval stores exactly
-    /// `embed(demo.input)`.
+    /// [`classify`](Self::classify) with every embedding precomputed: the
+    /// text's own (`text_emb`, which must be this head's `embed(text)`) and
+    /// the demonstrations'. The head then calls the embedder only for
+    /// glosses it has not cached. A batch pipeline embeds each document
+    /// once, uses that vector as its retrieval query, and passes it here;
+    /// retrieval stores exactly `embed(demo.input)`. Output is bit-identical
+    /// to `classify` with the same demos.
     pub fn classify_embedded(
         &self,
         text: &str,
+        text_emb: &Embedding,
         labels: &[String],
         demonstrations: &[EmbeddedDemonstration],
         opts: &ChatOptions,
     ) -> String {
-        let text_emb = self.embedder.embed(text);
-        let votes = self.demo_votes(labels, &text_emb, demonstrations.iter().map(|ed| {
+        let votes = self.demo_votes(labels, text_emb, demonstrations.iter().map(|ed| {
             (ed.demo.output.as_str(), ed.embedding.clone())
         }));
-        self.decide(text, &text_emb, labels, &votes, opts)
+        self.decide(text, text_emb, labels, &votes, opts)
     }
 
     /// Per-demo (label index, similarity) votes.
@@ -239,6 +244,13 @@ impl<'a> ClassifyHead<'a> {
                     .map(|idx| (idx, text_emb.cosine(&embedding).max(0.0)))
             })
             .collect()
+    }
+
+    /// Each content word's trigram set for the fuzzy gloss match, on the
+    /// tier that has one (GPT-4); `None` on GPT-3.5.
+    fn fuzzy_trigrams(&self, text_tokens: &[String]) -> Option<Vec<TrigramSet>> {
+        (self.spec.tier == ModelTier::Gpt4)
+            .then(|| text_tokens.iter().map(|t| TrigramSet::new(t)).collect())
     }
 
     /// Blend the zero-shot prior with demonstration votes and pick a label.
@@ -260,15 +272,16 @@ impl<'a> ClassifyHead<'a> {
         // whole-sentence embedding similarity. The larger model also
         // fuzzy-matches misspelled words via character trigrams — a
         // subword-tokenizer capability the smaller tier lacks. Gloss
-        // preprocessing and embeddings come from the per-head cache.
-        let fuzzy = self.spec.tier == ModelTier::Gpt4;
+        // preprocessing and embeddings come from the per-head cache; each
+        // content word's trigram set is built once per document.
         let text_tokens = content_stems(text);
+        let fuzzy = self.fuzzy_trigrams(&text_tokens);
         let mut scores: Vec<f32> = labels
             .iter()
             .map(|label| {
                 let gloss = self.gloss_entry(label);
                 let cosine = text_emb.cosine(&gloss.embedding).max(0.0);
-                let lexical = lexical_affinity(&text_tokens, &gloss, fuzzy);
+                let lexical = lexical_affinity(&text_tokens, fuzzy.as_deref(), &gloss);
                 lexical + 0.5 * cosine
             })
             .collect();
@@ -322,7 +335,7 @@ impl<'a> ClassifyHead<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::SimLlm;
+    use crate::model::{LanguageModel, SimLlm};
 
     fn labels() -> Vec<String> {
         vec!["informative".to_string(), "non-informative".to_string()]
@@ -413,11 +426,31 @@ mod tests {
             "ok lol",
             "some ambiguous feedback text",
         ] {
+            let text_emb = llm.embedder().embed(text);
             assert_eq!(
                 head.classify(text, &labels(), &demos, &opts),
-                head.classify_embedded(text, &labels(), &embedded, &opts),
+                head.classify_embedded(text, &text_emb, &labels(), &embedded, &opts),
                 "paths diverged on {text:?}"
             );
+        }
+    }
+
+    #[test]
+    fn misspelled_word_earns_fuzzy_credit_only_on_gpt4() {
+        // "crashh" is no gloss stem, but its trigrams overlap "crash" (4 of
+        // 7 distinct), past the 0.45 bar.
+        let misspelled = content_stems("crashh");
+        assert_eq!(misspelled, ["crashh"]);
+        let exact = content_stems("crash");
+        for (llm, fuzzy_credit) in [(SimLlm::gpt4(), 0.7f32), (SimLlm::gpt35(), 0.0)] {
+            let head = llm.classify_head();
+            let gloss = head.gloss_entry("informative");
+            let affinity = |tokens: &[String]| {
+                lexical_affinity(tokens, head.fuzzy_trigrams(tokens).as_deref(), &gloss)
+            };
+            // One content word, so credit is divided by the floor of 3.
+            assert_eq!(affinity(&exact), 1.0 / 3.0, "{:?}", llm.tier());
+            assert_eq!(affinity(&misspelled), fuzzy_credit / 3.0, "{:?}", llm.tier());
         }
     }
 

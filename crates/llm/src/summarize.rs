@@ -11,9 +11,10 @@
 
 use crate::model::{ChatOptions, ModelSpec, ModelTier};
 use crate::prompt::{Demonstration, Prompt};
-use allhands_embed::{EmbedMemo, Embedding, SentenceEmbedder};
+use allhands_embed::{cosine_from_parts, dot_slices, EmbedMemo, Embedding, SentenceEmbedder};
 use allhands_text::{light_preprocess, porter_stem, is_stopword};
 use std::collections::HashMap;
+use std::sync::{Arc, RwLock};
 
 /// A request to the topic head.
 #[derive(Debug, Clone)]
@@ -37,30 +38,75 @@ pub struct TopicResponse {
     pub new_topics: Vec<String>,
 }
 
+/// A candidate topic as the head scores it: its content stems (for the
+/// containment check), and its stemmed embedding with that vector's norm.
+/// None of it depends on the document being scored.
+struct PreparedTopic {
+    stems: Vec<String>,
+    embedding: Embedding,
+    norm: f32,
+}
+
 /// The topic-modeling head.
 ///
-/// Carries a phrase-embedding memo: candidate topics and demonstration
-/// inputs recur across every document of a progressive-ICL round, so each
-/// is stemmed + embedded once per head instead of once per (document ×
-/// topic) pair. Reuse one head for a whole round (as the topic modeler
-/// does) to get the amortization; outputs are bit-identical either way.
+/// Everything that depends only on a candidate is computed once per head:
+/// each topic is prepared (see [`PreparedTopic`]) the first time a request
+/// lists it, so scoring a (document, topic) pair is one dot product over
+/// cached norms plus a stem-containment check. A memo keeps the stemmed
+/// embedding of every document and demonstration input the head has seen,
+/// so a text scored again — in a later round, or as a retrieved
+/// demonstration — is not re-embedded. Reuse one head for a whole run (as
+/// the topic modeler does: round 1, HITLR and round 2) to get the
+/// amortization; outputs are bit-identical either way. The memo holds one
+/// vector per distinct text for the head's lifetime.
 pub struct SummarizeHead<'a> {
     spec: &'a ModelSpec,
     embedder: &'a SentenceEmbedder,
     phrase_memo: EmbedMemo<'a>,
+    topics: RwLock<HashMap<String, Arc<PreparedTopic>>>,
 }
 
 impl<'a> SummarizeHead<'a> {
     /// Construct from a model's spec + embedder.
     pub fn new(spec: &'a ModelSpec, embedder: &'a SentenceEmbedder) -> Self {
-        SummarizeHead { spec, embedder, phrase_memo: EmbedMemo::new(embedder) }
+        SummarizeHead {
+            spec,
+            embedder,
+            phrase_memo: EmbedMemo::new(embedder),
+            topics: RwLock::new(HashMap::new()),
+        }
     }
 
-    /// Embedding of `raw`'s stemmed form, cached under the raw string so
-    /// repeated topics skip both the stemming and the embedding.
+    /// Embedding of `raw`'s stemmed form, cached under the raw string so a
+    /// repeated text skips both the stemming and the embedding.
     fn embed_stemmed(&self, raw: &str) -> Embedding {
         self.phrase_memo
             .embed_keyed(raw, |embedder| embedder.embed(&stem_join(raw)))
+    }
+
+    /// The topic's prepared entry, built on first use. Like the classify
+    /// head's gloss cache, the map is insert-only and rebuildable, so a
+    /// poisoned lock is still valid, and a racing build yields identical
+    /// data.
+    fn prepared_topic(&self, topic: &str) -> Arc<PreparedTopic> {
+        if let Some(hit) = self.topics.read().unwrap_or_else(|p| p.into_inner()).get(topic) {
+            return Arc::clone(hit);
+        }
+        let stems = light_preprocess(topic)
+            .iter()
+            .filter(|w| !is_stopword(w))
+            .map(|w| porter_stem(w))
+            .collect();
+        let embedding = self.embed_stemmed(topic);
+        let norm = embedding.norm();
+        let prepared = Arc::new(PreparedTopic { stems, embedding, norm });
+        Arc::clone(
+            self.topics
+                .write()
+                .unwrap_or_else(|p| p.into_inner())
+                .entry(topic.to_string())
+                .or_insert(prepared),
+        )
     }
 
     /// Match threshold below which a new topic is coined. The larger model
@@ -94,27 +140,26 @@ impl<'a> SummarizeHead<'a> {
         // Match in stemmed space so inflections ("crashing" vs the topic
         // "crash") land together — the lexical normalization a real LLM
         // performs implicitly.
-        let text_emb = self.embedder.embed(&stem_join(&req.text));
+        let text_emb = self.embed_stemmed(&req.text);
+        let text_norm = text_emb.norm();
         let max_topics = req.max_topics.max(1);
 
         // Score predefined topics: phrase similarity + lexical containment
         // (topic words literally present in the text) + demonstration votes.
         let mut scores: HashMap<&str, f32> = HashMap::new();
         for topic in &req.predefined {
-            let sim = text_emb.cosine(&self.embed_stemmed(topic)).max(0.0);
-            let topic_stems: Vec<String> = light_preprocess(topic)
-                .iter()
-                .filter(|w| !is_stopword(w))
-                .map(|w| porter_stem(w))
-                .collect();
-            let contained = if topic_stems.is_empty() {
+            let prepared = self.prepared_topic(topic);
+            let dot = dot_slices(text_emb.as_slice(), prepared.embedding.as_slice());
+            let sim = cosine_from_parts(dot, text_norm, prepared.norm).max(0.0);
+            let contained = if prepared.stems.is_empty() {
                 0.0
             } else {
-                topic_stems
+                prepared
+                    .stems
                     .iter()
                     .filter(|s| content_words.contains(s))
                     .count() as f32
-                    / topic_stems.len() as f32
+                    / prepared.stems.len() as f32
             };
             scores.insert(topic.as_str(), sim + 0.8 * contained);
         }
@@ -416,6 +461,57 @@ mod tests {
         }];
         let r = head.suggest_topics(&request, &ChatOptions::default());
         assert_eq!(r.topics[0], "startup hang");
+    }
+
+    #[test]
+    fn reused_head_matches_fresh_heads() {
+        // One head serves a pass whose topic list grows and then a second
+        // pass over a reordered list, with the first pass's texts as
+        // demonstrations (as HITLR hands round 2 a refined list); its
+        // cached topics and document vectors must not change any answer a
+        // fresh head gives.
+        let texts = [
+            "the app crashes every time I open it",
+            "battery drains overnight since the update",
+            "please add a dark mode theme",
+            "battery drain is terrible now",
+            "crash on startup after the update",
+            "dark theme please, my eyes hurt",
+            "lol",
+        ];
+        let opts = ChatOptions::default();
+        for llm in [SimLlm::gpt4(), SimLlm::gpt35()] {
+            let reused = llm.summarize_head();
+            let mut topics = vec!["crash".to_string()];
+            for text in texts {
+                let request = TopicRequest { predefined: topics.clone(), ..req(text, &[]) };
+                let got = reused.suggest_topics(&request, &opts);
+                assert_eq!(got, llm.summarize_head().suggest_topics(&request, &opts), "{text:?}");
+                for new in got.new_topics {
+                    if !topics.contains(&new) {
+                        topics.push(new);
+                    }
+                }
+            }
+            assert!(topics.len() > 2, "the topic list must grow: {topics:?}");
+            topics.reverse();
+            for text in texts {
+                let request = TopicRequest {
+                    predefined: topics.clone(),
+                    demonstrations: texts[..3]
+                        .iter()
+                        .zip(&topics)
+                        .map(|(t, topic)| Demonstration {
+                            input: t.to_string(),
+                            output: topic.clone(),
+                        })
+                        .collect(),
+                    ..req(text, &[])
+                };
+                let got = reused.suggest_topics(&request, &opts);
+                assert_eq!(got, llm.summarize_head().suggest_topics(&request, &opts), "{text:?}");
+            }
+        }
     }
 
     #[test]

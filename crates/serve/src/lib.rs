@@ -177,10 +177,15 @@ pub struct ServeOptions {
     pub queue_capacity: usize,
     /// Model tier every session runs at.
     pub tier: ModelTier,
-    /// Session configuration shared by leader and followers. Note
-    /// `checkpoint.keep_last_k >= 2` is required when automatic
-    /// checkpointing is on, so compaction never outruns the replication
-    /// cursor (the tail is pulled immediately after every write).
+    /// Session configuration shared by leader and followers. Keep
+    /// automatic checkpointing off (the default policy): replication does
+    /// not survive compaction. The leader checkpoints and compacts inside
+    /// the write, before the tail is pulled, so under any checkpoint
+    /// policy, `keep_last_k >= 2` included, the first compaction drops WAL
+    /// entries the replication cursor has not read. The pull then fails
+    /// with `TailGap` and the server reports replication broken until the
+    /// followers are re-bootstrapped (ROADMAP.md item 7, "Fuzzed,
+    /// simulation-tested edges").
     pub config: AllHandsConfig,
 }
 
@@ -459,9 +464,10 @@ fn publish_tail(leader: &mut AllHands, shared: &Shared) {
             shared.log_cv.notify_all();
         }
         Err(e @ JournalError::TailGap { .. }) => {
-            // Compaction outran the cursor (keep_last_k too small for the
-            // checkpoint cadence): replication cannot continue without a
-            // re-bootstrap. Followers keep serving their last state.
+            // Compaction outran the cursor, as the first compaction under
+            // any checkpoint policy does (see `ServeOptions::config`):
+            // replication cannot continue without a re-bootstrap.
+            // Followers keep serving their last state.
             *shared.broken.lock().unwrap_or_else(|p| p.into_inner()) =
                 Some(format!("replication broken: {e}"));
             shared.leader_seq.store(next_seq, Ordering::SeqCst);

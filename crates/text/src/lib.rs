@@ -33,7 +33,7 @@ pub mod vocab;
 
 pub use emoji::{extract_emoji, is_emoji};
 pub use lang::{detect_language, Language};
-pub use ngrams::{bigrams, char_ngrams, ngrams, trigram_jaccard};
+pub use ngrams::{bigrams, char_ngrams, ngrams, trigram_jaccard, TrigramSet};
 pub use normalize::{fold_diacritics, normalize};
 pub use stem::porter_stem;
 pub use stopwords::{is_filler_word, is_stopword};

@@ -30,7 +30,7 @@
 
 use std::collections::HashMap;
 
-use allhands_embed::{dot_slices, norm_slice, Embedding};
+use allhands_embed::{cosine_from_parts, dot_slices, norm_slice, Embedding};
 use allhands_obs::Recorder;
 
 use crate::{top_k, Filter, Record, SearchResult};
@@ -235,15 +235,10 @@ impl RowPool {
     }
 
     /// Exact cosine of the query against row `slot`, bit-identical to
-    /// `query.cosine(&record.vector)`: same dot kernel, same `query-norm ×
-    /// row-norm` operand order, same epsilon guard and clamp.
+    /// `query.cosine(&record.vector)`: same dot kernel, same formula over
+    /// the cached row norm.
     fn exact_score(&self, slot: usize, qvals: &[f32], qnorm: f32) -> f32 {
-        let denom = qnorm * self.norms[slot];
-        if denom <= f32::EPSILON {
-            0.0
-        } else {
-            (dot_slices(qvals, self.row(slot)) / denom).clamp(-1.0, 1.0)
-        }
+        cosine_from_parts(dot_slices(qvals, self.row(slot)), qnorm, self.norms[slot])
     }
 
     /// Filter + score + top-k over the pool; quantized candidate selection

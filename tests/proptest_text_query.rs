@@ -4,9 +4,43 @@
 use allhands::dataframe::{Column, DataFrame};
 use allhands::query::{check_syntax, Session, SessionLimits};
 use allhands::text::{
-    fold_diacritics, normalize, porter_stem, sentences, tokenize, Vocabulary,
+    char_ngrams, fold_diacritics, normalize, porter_stem, sentences, tokenize, trigram_jaccard,
+    TrigramSet, Vocabulary,
 };
 use proptest::prelude::*;
+use std::collections::HashSet;
+
+/// The reference trigram Jaccard, kept as the oracle for [`TrigramSet`]:
+/// each word's distinct `char_ngrams` as a `HashSet<String>`.
+fn hashset_jaccard(a: &str, b: &str) -> f32 {
+    let ga: HashSet<String> = char_ngrams(a, 3).into_iter().collect();
+    let gb: HashSet<String> = char_ngrams(b, 3).into_iter().collect();
+    if ga.is_empty() || gb.is_empty() {
+        return 0.0;
+    }
+    let inter = ga.intersection(&gb).count();
+    inter as f32 / (ga.len() + gb.len() - inter) as f32
+}
+
+/// `TrigramSet` Jaccard and `trigram_jaccard` equal the oracle bit for bit.
+fn assert_trigram_jaccard_exact(a: &str, b: &str) {
+    let fast = TrigramSet::new(a).jaccard(&TrigramSet::new(b));
+    assert_eq!(fast.to_bits(), hashset_jaccard(a, b).to_bits(), "{a:?} vs {b:?}");
+    assert_eq!(trigram_jaccard(a, b).to_bits(), fast.to_bits(), "{a:?} vs {b:?}");
+}
+
+#[test]
+fn trigram_set_edge_cases_match_reference() {
+    let words = [
+        "", "a", "é", "中", "<", ">", "<>", "ab", "aaaa", "aaa", "abab", "ababab", "crash",
+        "crashh", "não", "nao", "kaputt", "inutilizável", "falsch", "🚀🚀🚀",
+    ];
+    for a in words {
+        for b in words {
+            assert_trigram_jaccard_exact(a, b);
+        }
+    }
+}
 
 proptest! {
     // ---- text substrate ----------------------------------------------------
@@ -52,6 +86,20 @@ proptest! {
         prop_assert!(!stem.is_empty());
         prop_assert!(stem.len() <= s.len() + 1, "{s} -> {stem}");
         prop_assert!(stem.is_ascii());
+    }
+
+    #[test]
+    fn trigram_set_jaccard_matches_hashset_reference(
+        // Small alphabets, one with the boundary markers in it: empty and
+        // one-character words, ASCII and not; the two-letter one repeats
+        // trigrams within most words.
+        a in "[ab<>é中]{0,7}",
+        b in "[aé]{0,9}",
+        c in "\\PC{0,12}",
+    ) {
+        for (x, y) in [(&a, &b), (&b, &a), (&a, &c), (&b, &b), (&c, &c)] {
+            assert_trigram_jaccard_exact(x, y);
+        }
     }
 
     #[test]
