@@ -33,7 +33,10 @@ use allhands_query::{RtValue, Session, SessionLimits};
 use allhands_resilience::{AllHandsError, Head, ResilienceConfig, ResilienceCtx};
 use std::sync::Arc;
 
-/// Agent configuration.
+/// Agent configuration. Resilience is not configured here: a new agent
+/// runs its codegen calls under an inert context, and
+/// [`QaAgent::set_resilience`] attaches a configured (usually run-wide)
+/// one.
 #[derive(Debug, Clone)]
 pub struct AgentConfig {
     /// Maximum code regeneration attempts after failures (paper: 3).
@@ -44,10 +47,6 @@ pub struct AgentConfig {
     pub plan_merge: bool,
     /// Session sandbox limits.
     pub limits: SessionLimits,
-    /// Resilience settings for a standalone agent. When the agent runs as
-    /// part of a pipeline, [`QaAgent::set_resilience`] replaces the context
-    /// built from this with the pipeline-wide shared one.
-    pub resilience: ResilienceConfig,
 }
 
 impl Default for AgentConfig {
@@ -57,7 +56,6 @@ impl Default for AgentConfig {
             chat: ChatOptions::default(),
             plan_merge: true,
             limits: SessionLimits::default(),
-            resilience: ResilienceConfig::default(),
         }
     }
 }
@@ -70,8 +68,9 @@ pub struct QaAgent {
     config: AgentConfig,
     /// `(question, answer summary)` pairs for follow-up context.
     history: Vec<(String, String)>,
-    /// Resilience context for the codegen head (always present; inert when
-    /// its configuration disables injection and nothing fails).
+    /// Resilience context every codegen-head call runs under. A new agent
+    /// starts with an inert one (no faults injected);
+    /// [`set_resilience`](Self::set_resilience) replaces it.
     resilience: Arc<ResilienceCtx>,
 }
 
@@ -82,8 +81,7 @@ impl QaAgent {
         let schema = SchemaInfo::from_frame(&feedback);
         let mut session = Session::new(config.limits);
         session.bind_frame("feedback", feedback);
-        let resilience = Arc::new(ResilienceCtx::new(config.resilience));
-        session.set_recorder(resilience.recorder().clone());
+        let resilience = Arc::new(ResilienceCtx::new(ResilienceConfig::default()));
         QaAgent { llm, session, schema, config, history: Vec::new(), resilience }
     }
 
@@ -96,25 +94,24 @@ impl QaAgent {
         self.session.bind_frame("feedback", feedback);
     }
 
-    /// Share a pipeline-wide resilience context (replacing the agent's own),
-    /// so breaker state and degradation notes are common across stages. The
-    /// context's recorder is propagated to the agent's LLM so head-level
-    /// call counts land in the same report.
+    /// Share a pipeline-wide resilience context (replacing the agent's inert
+    /// default), so breaker state and degradation notes are common across
+    /// stages. The context's recorder is propagated to the agent's LLM so
+    /// head-level call counts land in the same report.
     pub fn set_resilience(&mut self, ctx: Arc<ResilienceCtx>) {
         self.llm.set_recorder(ctx.recorder().clone());
         self.session.set_recorder(ctx.recorder().clone());
         self.resilience = ctx;
     }
 
-    /// The resilience context in use (shared or standalone).
+    /// The resilience context in use (shared, or the inert default).
     pub fn resilience(&self) -> &Arc<ResilienceCtx> {
         &self.resilience
     }
 
     /// The model name driving this agent.
     pub fn model_name(&self) -> &str {
-        use allhands_llm::LanguageModel;
-        self.llm.name()
+        self.llm.spec().name
     }
 
     /// Register a custom analysis plugin, available to generated code —
@@ -240,13 +237,8 @@ impl QaAgent {
         // --- 4. summarize ----------------------------------------------------
         // Weaker models sometimes dump results without a narrated summary —
         // the organization failure the readability rubric penalizes.
-        let narration_slip = {
-            use allhands_llm::LanguageModel;
-            let _ = self.llm.name();
-            self.llm
-                .spec()
-                .slips("narration", question, self.llm.spec().plan_slip * 0.9)
-        };
+        let narration_slip =
+            self.llm.spec().slips("narration", question, self.llm.spec().plan_slip * 0.9);
         let mut items: Vec<ResponseItem> = Vec::new();
         let summary = planner.summarize(question, &cell.shown);
         if !narration_slip {
@@ -444,13 +436,9 @@ mod tests {
 
     #[test]
     fn chaos_yields_partial_or_full_answers_never_panics() {
-        use allhands_resilience::ResilienceConfig;
         let run = |seed: u64| {
-            let config = AgentConfig {
-                resilience: ResilienceConfig::chaos(seed, 0.5),
-                ..AgentConfig::default()
-            };
-            let mut agent = QaAgent::new(SimLlm::gpt4(), frame(), config);
+            let mut agent = QaAgent::new(SimLlm::gpt4(), frame(), AgentConfig::default());
+            agent.set_resilience(Arc::new(ResilienceCtx::new(ResilienceConfig::chaos(seed, 0.5))));
             let questions = [
                 "How many tweets mention 'WhatsApp'?",
                 "What is the average sentiment score across all tweets?",
@@ -477,14 +465,11 @@ mod tests {
 
     #[test]
     fn breaker_open_returns_partial_response() {
-        use allhands_resilience::{BreakerState, ResilienceConfig};
+        use allhands_resilience::BreakerState;
         // Certain fault rate: every codegen attempt faults, so the first
         // questions exhaust retries and eventually open the breaker.
-        let config = AgentConfig {
-            resilience: ResilienceConfig::chaos(1, 1.0),
-            ..AgentConfig::default()
-        };
-        let mut agent = QaAgent::new(SimLlm::gpt4(), frame(), config);
+        let mut agent = QaAgent::new(SimLlm::gpt4(), frame(), AgentConfig::default());
+        agent.set_resilience(Arc::new(ResilienceCtx::new(ResilienceConfig::chaos(1, 1.0))));
         for _ in 0..4 {
             let r = agent.ask("How many tweets mention 'WhatsApp'?");
             assert!(r.error.is_none());

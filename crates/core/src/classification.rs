@@ -9,7 +9,7 @@
 use allhands_classify::{LabeledExample, LexicalPrior};
 use allhands_embed::Embedding;
 use allhands_llm::{ChatOptions, ClassifyHead, Demonstration, EmbeddedDemonstration, SimLlm};
-use allhands_resilience::{Head, ResilienceCtx};
+use allhands_resilience::{Head, ResilienceConfig, ResilienceCtx};
 use allhands_vectordb::{FlatIndex, IvfIndex, Record, VectorIndex};
 use std::sync::Arc;
 
@@ -152,9 +152,10 @@ pub struct IclClassifier<'a> {
     /// ingest path fits it once and re-wraps it per batch).
     demos: Arc<DemoIndex>,
     config: IclConfig,
-    /// Optional resilience context; when present, LLM calls route through
-    /// the classify head's breaker/retry machinery.
-    resilience: Option<Arc<ResilienceCtx>>,
+    /// Resilience context every classify-head call runs under (breaker,
+    /// retries, fault injection). The default one injects nothing, and the
+    /// classify operation itself cannot fail, so each call is one attempt.
+    resilience: Arc<ResilienceCtx>,
 }
 
 impl<'a> IclClassifier<'a> {
@@ -184,31 +185,22 @@ impl<'a> IclClassifier<'a> {
             head,
             demos,
             config,
-            resilience: None,
+            resilience: Arc::new(ResilienceCtx::new(ResilienceConfig::default())),
         }
     }
 
-    /// Attach a resilience context: classification calls run under the
-    /// classify head's retry policy and circuit breaker, falling back to the
-    /// lexical prior when the head is unavailable. The context's recorder is
-    /// propagated to the demonstration index so retrieval scans are counted
-    /// (when the pool is shared, the recorder is attached at
-    /// [`DemoIndex::fit`] time instead).
+    /// Replace the default inert resilience context: classification calls
+    /// run under the classify head's retry policy and circuit breaker,
+    /// falling back to the lexical prior when the head is unavailable. The
+    /// context's recorder is propagated to the demonstration index so
+    /// retrieval scans are counted (when the pool is shared, the recorder
+    /// is attached at [`DemoIndex::fit`] time instead).
     pub fn with_resilience(mut self, ctx: Arc<ResilienceCtx>) -> Self {
         if let Some(demos) = Arc::get_mut(&mut self.demos) {
             demos.set_recorder(ctx.recorder().clone());
         }
-        self.resilience = Some(ctx);
+        self.resilience = ctx;
         self
-    }
-
-    /// The recorder threaded through the resilience context (disabled when
-    /// no context is attached).
-    fn recorder(&self) -> allhands_obs::Recorder {
-        self.resilience
-            .as_ref()
-            .map(|ctx| ctx.recorder().clone())
-            .unwrap_or_default()
     }
 
     /// Retrieve the top-K demonstration examples for a query text.
@@ -250,14 +242,12 @@ impl<'a> IclClassifier<'a> {
             .collect()
     }
 
-    /// Classify one feedback text. With a resilience context attached, the
-    /// LLM call runs under retry/breaker control; if it still fails (breaker
-    /// open or retries exhausted) the lexical-prior fallback answers instead,
-    /// recording a degradation note — classification degrades, never fails.
+    /// Classify one feedback text. The LLM call runs under retry/breaker
+    /// control; if it still fails (breaker open or retries exhausted) the
+    /// lexical-prior fallback answers instead, recording a degradation note
+    /// — classification degrades, never fails.
     pub fn classify(&self, text: &str) -> String {
-        let Some(ctx) = &self.resilience else {
-            return self.classify_direct(text);
-        };
+        let ctx = &self.resilience;
         match ctx.call(Head::Classify, |_| Ok(self.classify_direct(text))) {
             Ok(label) => label,
             Err(err) => {
@@ -286,23 +276,24 @@ impl<'a> IclClassifier<'a> {
     /// [`classify`](Self::classify) over `texts` in order — but the pure
     /// per-text work runs data-parallel.
     ///
-    /// Determinism contract: with a resilience context attached, fault
-    /// injection is a pure function of the *order* of calls on the shared
-    /// context, so the Ok/Err decision for every text is made sequentially
-    /// first (the wrapped operation in `classify` is infallible, so an
-    /// `Ok(())` probe drives the context through the exact same
-    /// retry/breaker/fault trajectory), and only the pure classification
-    /// work — LLM path or lexical fallback per the recorded decision — is
-    /// distributed across threads. Output is byte-identical to the serial
-    /// path at any thread count, with or without fault injection.
+    /// Determinism contract: fault injection is a pure function of the
+    /// *order* of calls on the shared resilience context, so the Ok/Err
+    /// decision for every text is made sequentially first (the wrapped
+    /// operation in `classify` is infallible, so an `Ok(())` probe drives
+    /// the context through the exact same retry/breaker/fault trajectory),
+    /// and only the pure classification work — LLM path or lexical
+    /// fallback per the recorded decision — is distributed across threads.
+    /// Output is byte-identical to the serial path at any thread count,
+    /// with or without fault injection.
     ///
-    /// Poison isolation: with a resilience context attached, per-item work
-    /// runs under `par_map_isolated` — a document that panics mid-work
-    /// (e.g. a configured poison pill) is quarantined on the context with
-    /// its panic payload and labeled by the lexical fallback, while every
-    /// other document is classified exactly as it would have been.
+    /// Poison isolation: per-item work runs under `par_map_isolated` — a
+    /// document that panics mid-work (e.g. a configured poison pill) is
+    /// quarantined on the context with its panic payload and labeled by the
+    /// lexical fallback, while every other document is classified exactly
+    /// as it would have been.
     pub fn classify_batch(&self, texts: &[String]) -> Vec<String> {
-        let rec = self.recorder();
+        let ctx = &self.resilience;
+        let rec = ctx.recorder();
         let _stage = rec.span("classify");
         rec.add("classify.docs", texts.len() as u64);
         // Span batches are a fixed size — independent of thread count — so
@@ -311,16 +302,6 @@ impl<'a> IclClassifier<'a> {
         // dispatches on the hot path, and per-item outputs are identical
         // either way (each item's work is independent).
         let span_batch = if rec.is_enabled() { CLASSIFY_SPAN_BATCH } else { texts.len().max(1) };
-        let Some(ctx) = &self.resilience else {
-            let mut out: Vec<String> = Vec::with_capacity(texts.len());
-            for (b, chunk) in texts.chunks(span_batch).enumerate() {
-                let _batch = rec.span(&format!("batch[{b}]"));
-                out.extend(allhands_par::par_map_indexed_recorded(&rec, "classify", chunk, |_, t| {
-                    self.classify_direct(t)
-                }));
-            }
-            return out;
-        };
         // The resilience probe prefix is inherently sequential (fault
         // injection is a function of call order on the shared context), so
         // it caps parallel speedup; its wall time goes to the volatile
@@ -347,7 +328,7 @@ impl<'a> IclClassifier<'a> {
         for (b, chunk) in texts.chunks(span_batch).enumerate() {
             let _batch = rec.span(&format!("batch[{b}]"));
             let offset = b * span_batch;
-            isolated.extend(allhands_par::par_map_isolated_recorded(&rec, "classify", chunk, |i, t| {
+            isolated.extend(allhands_par::par_map_isolated_recorded(rec, "classify", chunk, |i, t| {
                 ctx.check_poison(t);
                 if llm_ok[offset + i] {
                     self.classify_direct(t)

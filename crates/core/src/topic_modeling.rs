@@ -20,7 +20,7 @@ use allhands_embed::Embedding;
 use allhands_llm::{
     ChatOptions, Demonstration, SimLlm, SummarizeHead, TopicRequest, TopicResponse,
 };
-use allhands_resilience::{BreakerState, Head, ResilienceCtx};
+use allhands_resilience::{BreakerState, Head, ResilienceConfig, ResilienceCtx};
 use allhands_text::TrigramSet;
 use allhands_topics::{agglomerative_clusters, BartScorer, Linkage};
 use allhands_vectordb::{IvfIndex, Record, VectorIndex};
@@ -95,38 +95,36 @@ pub struct TopicModelingResult {
 pub struct AbstractiveTopicModeler<'a> {
     llm: &'a SimLlm,
     config: TopicModelingConfig,
-    /// Optional resilience context; when present, per-document topic calls
-    /// run under the summarize head's breaker/retry machinery.
-    resilience: Option<Arc<ResilienceCtx>>,
+    /// Resilience context every per-document topic call runs under
+    /// (breaker, retries, fault injection, poison pills). The default one
+    /// injects nothing and arms no pill, so each call is one attempt.
+    resilience: Arc<ResilienceCtx>,
 }
 
 impl<'a> AbstractiveTopicModeler<'a> {
     /// Construct for a model and configuration.
     pub fn new(llm: &'a SimLlm, config: TopicModelingConfig) -> Self {
-        AbstractiveTopicModeler { llm, config, resilience: None }
+        AbstractiveTopicModeler {
+            llm,
+            config,
+            resilience: Arc::new(ResilienceCtx::new(ResilienceConfig::default())),
+        }
     }
 
-    /// Attach a resilience context: per-document topic assignment degrades
-    /// to `"others"` when the summarize head stays unavailable, and HITLR
-    /// refinement is skipped under fault pressure (the result is marked
-    /// unrefined rather than refined on corrupted round-1 output).
+    /// Replace the default inert resilience context: per-document topic
+    /// assignment degrades to `"others"` when the summarize head stays
+    /// unavailable, and HITLR refinement is skipped under fault pressure
+    /// (the result is marked unrefined rather than refined on corrupted
+    /// round-1 output).
     pub fn with_resilience(mut self, ctx: Arc<ResilienceCtx>) -> Self {
-        self.resilience = Some(ctx);
+        self.resilience = ctx;
         self
-    }
-
-    /// The recorder threaded through the resilience context (disabled when
-    /// no context is attached).
-    fn recorder(&self) -> allhands_obs::Recorder {
-        self.resilience
-            .as_ref()
-            .map(|ctx| ctx.recorder().clone())
-            .unwrap_or_default()
     }
 
     /// Run the full stage on `texts` with an initial predefined topic list.
     pub fn run(&self, texts: &[String], predefined: &[String]) -> TopicModelingResult {
-        let rec = self.recorder();
+        let ctx = &self.resilience;
+        let rec = ctx.recorder();
         let _stage = rec.span("topics");
         rec.add("topics.docs", texts.len() as u64);
         let speller = Speller::fit(texts);
@@ -147,11 +145,9 @@ impl<'a> AbstractiveTopicModeler<'a> {
         // longer closed. Refining on top of corrupted round-1 assignments
         // would launder bad topics into the curated list, so HITLR is
         // skipped and the result marked unrefined.
-        let under_pressure = self.resilience.as_ref().is_some_and(|ctx| {
-            round1_degraded > 0
-                || round1_quarantined > 0
-                || ctx.breaker_state(Head::Summarize) != BreakerState::Closed
-        });
+        let under_pressure = round1_degraded > 0
+            || round1_quarantined > 0
+            || ctx.breaker_state(Head::Summarize) != BreakerState::Closed;
 
         if round1_degraded > 0 {
             degradation.push(format!(
@@ -189,10 +185,8 @@ impl<'a> AbstractiveTopicModeler<'a> {
                 refined = true;
             }
         }
-        if let Some(ctx) = &self.resilience {
-            for note in &degradation {
-                ctx.note_degradation_once("topic-modeling", note);
-            }
+        for note in &degradation {
+            ctx.note_degradation_once("topic-modeling", note);
         }
         rec.add("topics.final_list", topic_list.len() as u64);
         rec.add("topics.reviewer_removed", reviewer_removed as u64);
@@ -231,7 +225,8 @@ impl<'a> AbstractiveTopicModeler<'a> {
         retrieval: &HashMap<usize, Vec<Demonstration>>,
         speller: &Speller,
     ) -> (Vec<Vec<String>>, usize, usize) {
-        let rec = self.recorder();
+        let ctx = &self.resilience;
+        let rec = ctx.recorder();
         let mut out = Vec::with_capacity(texts.len());
         let mut degraded = 0usize;
         let mut quarantined = 0usize;
@@ -240,13 +235,11 @@ impl<'a> AbstractiveTopicModeler<'a> {
             // list grows document by document), so poison pills are probed
             // without panicking: the doc is dead-lettered with the payload
             // the pill would have carried and the loop moves on.
-            if let Some(ctx) = &self.resilience {
-                if let Some(payload) = ctx.poison_payload(text) {
-                    ctx.record_quarantine("topic-modeling", &d.to_string(), payload);
-                    quarantined += 1;
-                    out.push(vec!["others".to_string()]);
-                    continue;
-                }
+            if let Some(payload) = ctx.poison_payload(text) {
+                ctx.record_quarantine("topic-modeling", &d.to_string(), payload);
+                quarantined += 1;
+                out.push(vec!["others".to_string()]);
+                continue;
             }
             let demonstrations = retrieval.get(&d).cloned().unwrap_or_default();
             let req = TopicRequest {
@@ -255,12 +248,8 @@ impl<'a> AbstractiveTopicModeler<'a> {
                 demonstrations,
                 max_topics: self.config.max_topics_per_doc,
             };
-            let suggested = match &self.resilience {
-                Some(ctx) => ctx.call(Head::Summarize, |_| {
-                    Ok(head.suggest_topics(&req, &self.config.chat))
-                }),
-                None => Ok(head.suggest_topics(&req, &self.config.chat)),
-            };
+            let suggested =
+                ctx.call(Head::Summarize, |_| Ok(head.suggest_topics(&req, &self.config.chat)));
             let mut response = match suggested {
                 Ok(r) => r,
                 Err(_) => {
@@ -345,7 +334,7 @@ impl<'a> AbstractiveTopicModeler<'a> {
         // embeddings are independent, so they compute in parallel (each is
         // a pure function of the phrase — order and thread count don't
         // change the vectors).
-        let rec = self.recorder();
+        let rec = self.resilience.recorder().clone();
         let phrases: Vec<String> = unique.iter().map(|(t, _)| t.to_string()).collect();
         let clusters: Vec<Vec<String>> = {
             let _hac = rec.span("hac");

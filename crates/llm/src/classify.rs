@@ -14,7 +14,7 @@
 //! paper's zero-shot configuration.
 
 use crate::model::{ChatOptions, ModelSpec, ModelTier};
-use crate::prompt::{Demonstration, EmbeddedDemonstration, Prompt};
+use crate::prompt::{Demonstration, EmbeddedDemonstration};
 use allhands_embed::{Embedding, SentenceEmbedder};
 use allhands_text::TrigramSet;
 use std::collections::{HashMap, HashSet};
@@ -321,21 +321,12 @@ impl<'a> ClassifyHead<'a> {
         }
         labels[best].clone()
     }
-
-    /// Trait-level entry: candidates and demonstrations come from the
-    /// structured prompt.
-    pub fn classify_prompt(&self, prompt: &Prompt, opts: &ChatOptions) -> String {
-        if prompt.candidates.is_empty() {
-            return String::new();
-        }
-        self.classify(&prompt.query, &prompt.candidates, &prompt.demonstrations, opts)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{LanguageModel, SimLlm};
+    use crate::model::SimLlm;
 
     fn labels() -> Vec<String> {
         vec!["informative".to_string(), "non-informative".to_string()]
@@ -449,8 +440,8 @@ mod tests {
                 lexical_affinity(tokens, head.fuzzy_trigrams(tokens).as_deref(), &gloss)
             };
             // One content word, so credit is divided by the floor of 3.
-            assert_eq!(affinity(&exact), 1.0 / 3.0, "{:?}", llm.tier());
-            assert_eq!(affinity(&misspelled), fuzzy_credit / 3.0, "{:?}", llm.tier());
+            assert_eq!(affinity(&exact), 1.0 / 3.0, "{:?}", llm.spec().tier);
+            assert_eq!(affinity(&misspelled), fuzzy_credit / 3.0, "{:?}", llm.spec().tier);
         }
     }
 

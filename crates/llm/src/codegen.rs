@@ -16,7 +16,6 @@
 //! certain details during the analysis process".
 
 use crate::model::{ChatOptions, ModelSpec};
-use crate::prompt::Prompt;
 use allhands_dataframe::DataFrame;
 use std::collections::HashMap;
 
@@ -80,21 +79,6 @@ impl SchemaInfo {
         self.columns.iter().any(|(n, _)| n == name)
     }
 
-    /// Render for inclusion in a prompt.
-    pub fn describe(&self) -> String {
-        let mut out = String::new();
-        for (name, dtype) in &self.columns {
-            out.push_str(&format!("column {name} ({dtype})"));
-            if let Some(vals) = self.sample_values.get(name) {
-                let preview: Vec<&str> =
-                    vals.iter().take(8).map(String::as_str).collect();
-                out.push_str(&format!(": {}", preview.join(" | ")));
-            }
-            out.push('\n');
-        }
-        out
-    }
-
     /// Which column (if any) holds a categorical value matching `phrase`
     /// (normalized, singular/plural-tolerant)?
     fn resolve_value(&self, phrase: &str) -> Option<(String, String)> {
@@ -155,23 +139,6 @@ impl<'a> CodegenHead<'a> {
         self.rec.incr("llm.codegen.calls");
         let program = build_program(&req.question, &req.schema)?;
         Ok(self.corrupt(program, req, opts))
-    }
-
-    /// Trait-level entry: the question is the prompt query; schema comes
-    /// from the instruction (as produced by [`SchemaInfo::describe`]).
-    pub fn generate_from_prompt(
-        &self,
-        prompt: &Prompt,
-        opts: &ChatOptions,
-    ) -> Result<String, String> {
-        let schema = parse_schema_description(&prompt.instruction);
-        let req = CodegenRequest {
-            question: prompt.query.clone(),
-            schema,
-            error_feedback: None,
-            attempt: 0,
-        };
-        self.generate(&req, opts)
     }
 
     /// Apply the tier's plan slips. Deterministic per (spec, question).
@@ -367,36 +334,6 @@ fn remove_first_call(program: &str, needle: &str) -> String {
         }
     }
     format!("{}{}", &program[..start], &program[end + 1..])
-}
-
-/// Parse a schema description produced by [`SchemaInfo::describe`].
-pub fn parse_schema_description(text: &str) -> SchemaInfo {
-    let mut schema = SchemaInfo::default();
-    for line in text.lines() {
-        let Some(rest) = line.strip_prefix("column ") else { continue };
-        let (head, samples) = match rest.split_once(':') {
-            Some((h, s)) => (h, Some(s)),
-            None => (rest, None),
-        };
-        let mut parts = head.split_whitespace();
-        let Some(name) = parts.next() else { continue };
-        let dtype = parts
-            .next()
-            .map(|d| d.trim_matches(['(', ')']).to_string())
-            .unwrap_or_else(|| "Str".to_string());
-        schema.columns.push((name.to_string(), dtype));
-        if let Some(samples) = samples {
-            let vals: Vec<String> = samples
-                .split('|')
-                .map(|v| v.trim().to_string())
-                .filter(|v| !v.is_empty())
-                .collect();
-            if !vals.is_empty() {
-                schema.sample_values.insert(name.to_string(), vals);
-            }
-        }
-    }
-    schema
 }
 
 // ===========================================================================
@@ -1386,14 +1323,6 @@ mod tests {
                 .count()
         };
         assert!(count_corrupted(&g4) < count_corrupted(&g35));
-    }
-
-    #[test]
-    fn schema_description_roundtrip() {
-        let s = schema();
-        let parsed = parse_schema_description(&s.describe());
-        assert_eq!(parsed.columns.len(), s.columns.len());
-        assert!(parsed.sample_values.get("product").unwrap().contains(&"WhatsApp".to_string()));
     }
 
     #[test]

@@ -1,8 +1,8 @@
-//! Model tiers, capability specs, and the [`LanguageModel`] trait.
+//! Model tiers, capability specs, and [`SimLlm`], the simulated model whose
+//! typed task heads every stage calls.
 
 use crate::classify::ClassifyHead;
 use crate::codegen::CodegenHead;
-use crate::prompt::{Prompt, PromptTask};
 use crate::summarize::SummarizeHead;
 use allhands_embed::{hash64, EmbedderConfig, SentenceEmbedder};
 use allhands_obs::Recorder;
@@ -33,8 +33,6 @@ pub struct ModelSpec {
     pub tier: ModelTier,
     /// API-style model name.
     pub name: &'static str,
-    /// Context window in (approximate) tokens.
-    pub context_window: usize,
     /// Embedder configuration for all semantic scoring in this model.
     pub embed: EmbedderConfig,
     /// How strongly retrieved demonstrations sway classification relative
@@ -59,7 +57,6 @@ impl ModelSpec {
         ModelSpec {
             tier: ModelTier::Gpt35,
             name: "gpt-3.5-sim",
-            context_window: 4_096,
             embed: EmbedderConfig { dims: 256, use_bigrams: true, char_ngram: 0, ..Default::default() },
             demo_weight: 2.0,
             label_slip: 0.10,
@@ -74,7 +71,6 @@ impl ModelSpec {
         ModelSpec {
             tier: ModelTier::Gpt4,
             name: "gpt-4-sim",
-            context_window: 32_768,
             embed: EmbedderConfig { dims: 512, use_bigrams: true, char_ngram: 3, ..Default::default() },
             demo_weight: 3.5,
             label_slip: 0.02,
@@ -106,21 +102,13 @@ impl ModelSpec {
     }
 }
 
-/// Generation options, mirroring the OpenAI API surface the paper tunes
-/// (Sec. 5.1 sets temperature and top_p to 0 for reproducibility).
-#[derive(Debug, Clone, Copy)]
+/// Generation options. Only temperature is modeled: it scales every slip
+/// rate. (The paper's Sec. 5.1 also zeroes nucleus sampling, which a
+/// deterministic simulation has no use for.)
+#[derive(Debug, Clone, Copy, Default)]
 pub struct ChatOptions {
     /// 0.0 = deterministic. Higher values scale all slip rates up.
     pub temperature: f64,
-    /// Nucleus-sampling parameter (kept for API fidelity; only its
-    /// deviation from 1.0 mildly scales noise).
-    pub top_p: f64,
-}
-
-impl Default for ChatOptions {
-    fn default() -> Self {
-        ChatOptions { temperature: 0.0, top_p: 0.0 }
-    }
 }
 
 impl ChatOptions {
@@ -130,28 +118,11 @@ impl ChatOptions {
     }
 }
 
-/// The interface every AllHands stage talks to. A production deployment
-/// would implement this with an API client; here [`SimLlm`] implements it
-/// with deterministic task heads.
-pub trait LanguageModel {
-    /// Model name (e.g. `gpt-4-sim`).
-    fn name(&self) -> &str;
-
-    /// Model tier.
-    fn tier(&self) -> ModelTier;
-
-    /// Complete a structured prompt, returning the model's raw text output.
-    fn complete(&self, prompt: &Prompt, opts: &ChatOptions) -> Result<String, LlmError>;
-}
-
 /// What went wrong in an LLM invocation. The taxonomy distinguishes
 /// transient faults (worth retrying) from permanent ones (retrying the same
 /// request can never help), which is what the resilience layer keys on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LlmErrorKind {
-    /// Prompt exceeds the model's context window. Permanent: the same
-    /// request will always overflow.
-    ContextOverflow,
     /// Request timed out before a completion arrived. Transient.
     Timeout,
     /// Provider rejected the request for rate limiting. Transient.
@@ -183,7 +154,6 @@ impl LlmErrorKind {
     /// Short stable label used in degradation notes and logs.
     pub fn label(self) -> &'static str {
         match self {
-            LlmErrorKind::ContextOverflow => "context-overflow",
             LlmErrorKind::Timeout => "timeout",
             LlmErrorKind::RateLimited => "rate-limited",
             LlmErrorKind::Truncated => "truncated",
@@ -282,43 +252,6 @@ impl SimLlm {
     }
 }
 
-impl LanguageModel for SimLlm {
-    fn name(&self) -> &str {
-        self.spec.name
-    }
-
-    fn tier(&self) -> ModelTier {
-        self.spec.tier
-    }
-
-    fn complete(&self, prompt: &Prompt, opts: &ChatOptions) -> Result<String, LlmError> {
-        let mut prompt = prompt.clone();
-        prompt.fit_to_window(self.spec.context_window);
-        if prompt.token_count() > self.spec.context_window {
-            return Err(LlmError::new(
-                LlmErrorKind::ContextOverflow,
-                format!(
-                    "prompt of {} tokens exceeds {}'s context window of {}",
-                    prompt.token_count(),
-                    self.spec.name,
-                    self.spec.context_window
-                ),
-            ));
-        }
-        match prompt.task {
-            PromptTask::Classify => Ok(self.classify_head().classify_prompt(&prompt, opts)),
-            PromptTask::TopicModel => {
-                Ok(self.summarize_head().topics_from_prompt(&prompt, opts).join("; "))
-            }
-            PromptTask::GenerateCode => self
-                .codegen_head()
-                .generate_from_prompt(&prompt, opts)
-                .map_err(|m| LlmError::new(LlmErrorKind::Generation, m)),
-            PromptTask::Summarize => Ok(crate::summarize::extractive_summary(&prompt.query, 3)),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -330,7 +263,6 @@ mod tests {
         assert!(g4.label_slip < g35.label_slip);
         assert!(g4.plan_slip < g35.plan_slip);
         assert!(g4.demo_weight > g35.demo_weight);
-        assert!(g4.context_window > g35.context_window);
         assert!(g4.embed.dims > g35.embed.dims);
     }
 
@@ -350,18 +282,7 @@ mod tests {
 
     #[test]
     fn temperature_scales_noise() {
-        let hot = ChatOptions { temperature: 1.0, top_p: 0.9 };
+        let hot = ChatOptions { temperature: 1.0 };
         assert!(hot.noise_scale() > ChatOptions::default().noise_scale());
-    }
-
-    #[test]
-    fn context_overflow_is_an_error() {
-        let llm = SimLlm::gpt35();
-        let huge = "word ".repeat(30_000);
-        let prompt = Prompt::new(PromptTask::Summarize, "Summarize.", &huge);
-        let err = llm.complete(&prompt, &ChatOptions::default()).unwrap_err();
-        assert_eq!(err.kind, LlmErrorKind::ContextOverflow);
-        assert!(err.message.contains("context window"));
-        assert!(!err.retryable(), "overflow must not be retried");
     }
 }

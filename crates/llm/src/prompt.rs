@@ -1,6 +1,6 @@
-//! Structured prompts (paper Fig. 3: instruction + demonstrations + query).
+//! In-context demonstrations, the retrieved examples of an ICL prompt
+//! (paper Fig. 3).
 
-use crate::tokens::count_tokens;
 use serde::{Deserialize, Serialize};
 
 /// One in-context demonstration: an input paired with its gold output.
@@ -24,144 +24,4 @@ pub struct EmbeddedDemonstration {
     pub demo: Demonstration,
     /// `embed(demo.input)`, computed when the demo entered the index.
     pub embedding: allhands_embed::Embedding,
-}
-
-/// The task a prompt is for. The simulated model dispatches on this the way
-/// a real LLM dispatches on instruction wording.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum PromptTask {
-    /// Pick one label from the candidate set.
-    Classify,
-    /// Produce one or more abstractive topic phrases.
-    TopicModel,
-    /// Generate AQL code.
-    GenerateCode,
-    /// Free-text summarization.
-    Summarize,
-}
-
-/// A structured ICL prompt (paper Fig. 3): instruction providing background
-/// and the objective; retrieved demonstrations; the targeted query.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Prompt {
-    pub task: PromptTask,
-    /// Background, guidelines, objective — and for classification, the
-    /// candidate labels; for topic modeling, the topic requirements and
-    /// predefined topic list.
-    pub instruction: String,
-    /// Candidate labels (Classify) or predefined topics (TopicModel).
-    pub candidates: Vec<String>,
-    /// Few-shot demonstrations (empty = zero-shot).
-    pub demonstrations: Vec<Demonstration>,
-    /// The input to operate on.
-    pub query: String,
-}
-
-impl Prompt {
-    /// A zero-shot prompt.
-    pub fn new(task: PromptTask, instruction: &str, query: &str) -> Self {
-        Prompt {
-            task,
-            instruction: instruction.to_string(),
-            candidates: Vec::new(),
-            demonstrations: Vec::new(),
-            query: query.to_string(),
-        }
-    }
-
-    /// Builder: set candidates.
-    pub fn with_candidates<S: Into<String>>(mut self, candidates: Vec<S>) -> Self {
-        self.candidates = candidates.into_iter().map(Into::into).collect();
-        self
-    }
-
-    /// Builder: set demonstrations.
-    pub fn with_demonstrations(mut self, demos: Vec<Demonstration>) -> Self {
-        self.demonstrations = demos;
-        self
-    }
-
-    /// Render to the flat text a chat API would receive (used for token
-    /// accounting and debugging).
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str("### Instruction\n");
-        out.push_str(&self.instruction);
-        out.push('\n');
-        if !self.candidates.is_empty() {
-            out.push_str("### Candidates\n");
-            out.push_str(&self.candidates.join("; "));
-            out.push('\n');
-        }
-        for d in &self.demonstrations {
-            out.push_str("### Example\nInput: ");
-            out.push_str(&d.input);
-            out.push_str("\nOutput: ");
-            out.push_str(&d.output);
-            out.push('\n');
-        }
-        out.push_str("### Query\n");
-        out.push_str(&self.query);
-        out
-    }
-
-    /// Total prompt size in (approximate) tokens.
-    pub fn token_count(&self) -> usize {
-        count_tokens(&self.render())
-    }
-
-    /// Drop the least recent demonstrations until the prompt fits
-    /// `context_window` tokens. Returns how many were dropped. (Mirrors
-    /// real ICL pipelines truncating shots to fit the window.)
-    pub fn fit_to_window(&mut self, context_window: usize) -> usize {
-        let mut dropped = 0;
-        while self.token_count() > context_window && !self.demonstrations.is_empty() {
-            self.demonstrations.pop();
-            dropped += 1;
-        }
-        dropped
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn demo(i: usize) -> Demonstration {
-        Demonstration {
-            input: format!("example feedback number {i} with some padding words"),
-            output: "informative".to_string(),
-        }
-    }
-
-    #[test]
-    fn render_contains_sections() {
-        let p = Prompt::new(PromptTask::Classify, "Classify feedback.", "app crashes")
-            .with_candidates(vec!["informative", "non-informative"])
-            .with_demonstrations(vec![demo(1)]);
-        let text = p.render();
-        assert!(text.contains("### Instruction"));
-        assert!(text.contains("### Candidates"));
-        assert!(text.contains("### Example"));
-        assert!(text.contains("### Query"));
-        assert!(text.contains("app crashes"));
-    }
-
-    #[test]
-    fn fit_to_window_drops_latest_shots() {
-        let mut p = Prompt::new(PromptTask::Classify, "Classify.", "q")
-            .with_demonstrations((0..20).map(demo).collect());
-        let before = p.token_count();
-        let dropped = p.fit_to_window(before / 2);
-        assert!(dropped > 0);
-        assert!(p.token_count() <= before / 2);
-        // The earliest (most similar) demos survive.
-        assert!(p.demonstrations.first().unwrap().input.contains("number 0"));
-    }
-
-    #[test]
-    fn zero_shot_has_no_examples() {
-        let p = Prompt::new(PromptTask::Classify, "Classify.", "q");
-        assert!(!p.render().contains("### Example"));
-    }
 }

@@ -10,7 +10,7 @@
 //! predefined list". Feedback too thin to summarize lands in "others".
 
 use crate::model::{ChatOptions, ModelSpec, ModelTier};
-use crate::prompt::{Demonstration, Prompt};
+use crate::prompt::Demonstration;
 use allhands_embed::{cosine_from_parts, dot_slices, EmbedMemo, Embedding, SentenceEmbedder};
 use allhands_text::{light_preprocess, porter_stem, is_stopword};
 use std::collections::HashMap;
@@ -222,17 +222,6 @@ impl<'a> SummarizeHead<'a> {
         TopicResponse { topics, new_topics }
     }
 
-    /// Trait-level entry: predefined topics arrive as prompt candidates.
-    pub fn topics_from_prompt(&self, prompt: &Prompt, opts: &ChatOptions) -> Vec<String> {
-        let req = TopicRequest {
-            text: prompt.query.clone(),
-            predefined: prompt.candidates.clone(),
-            demonstrations: prompt.demonstrations.clone(),
-            max_topics: 2,
-        };
-        self.suggest_topics(&req, opts).topics
-    }
-
     /// Summarize a cluster of topic phrases into one representative label
     /// (used by HITLR's cluster-and-summarize step): the phrase closest to
     /// the cluster centroid, shortened to ≤ 4 words.
@@ -327,15 +316,6 @@ fn literal_excerpt(text: &str) -> Option<String> {
         return None;
     }
     Some(content[..3.min(content.len())].join(" "))
-}
-
-/// Crude extractive summary: the first `n` sentences.
-pub fn extractive_summary(text: &str, n: usize) -> String {
-    allhands_text::sentences(text)
-        .into_iter()
-        .take(n)
-        .collect::<Vec<_>>()
-        .join(". ")
 }
 
 /// Generate suggestion text from topic statistics — the template library
@@ -561,11 +541,5 @@ mod tests {
         assert!(text.lines().count() >= 3);
         let empty = suggestion_text(&[], "X");
         assert!(empty.contains("No dominant"));
-    }
-
-    #[test]
-    fn extractive_summary_takes_sentences() {
-        let s = extractive_summary("One. Two. Three. Four.", 2);
-        assert_eq!(s, "One. Two");
     }
 }

@@ -65,8 +65,6 @@ impl CellResult {
 pub struct Session {
     interp: Interpreter,
     limits: SessionLimits,
-    /// History of executed cell sources (successful and failed).
-    history: Vec<String>,
 }
 
 impl Session {
@@ -75,7 +73,6 @@ impl Session {
         Session {
             interp: Interpreter::new(limits.step_budget, limits.max_rows),
             limits,
-            history: Vec::new(),
         }
     }
 
@@ -125,7 +122,6 @@ impl Session {
     /// Execute one cell. Never panics: all failures land in
     /// [`CellResult::error`].
     pub fn execute(&mut self, source: &str) -> CellResult {
-        self.history.push(source.to_string());
         let program = match parse_program(source) {
             Ok(p) => p,
             Err(e) => {
@@ -138,12 +134,6 @@ impl Session {
         let error = self.interp.run(&program).err().map(|e| e.to_string());
         let effects = self.interp.take_effects();
         CellResult { shown: effects.shown, logs: effects.logs, error }
-    }
-
-    /// The sources executed so far (the chat-history substrate the planner
-    /// keeps for follow-ups).
-    pub fn history(&self) -> &[String] {
-        &self.history
     }
 }
 
@@ -172,7 +162,6 @@ mod tests {
         assert!(r.ok());
         assert_eq!(r.shown.len(), 1);
         assert_eq!(r.logs, vec!["done"]);
-        assert_eq!(s.history().len(), 1);
     }
 
     #[test]

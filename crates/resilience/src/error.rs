@@ -121,7 +121,7 @@ mod tests {
     fn retryability_follows_taxonomy() {
         let transient = AllHandsError::Llm(LlmError::new(LlmErrorKind::Timeout, "t"));
         assert!(transient.retryable());
-        let permanent = AllHandsError::Llm(LlmError::new(LlmErrorKind::ContextOverflow, "o"));
+        let permanent = AllHandsError::Llm(LlmError::new(LlmErrorKind::Generation, "o"));
         assert!(!permanent.retryable());
         assert!(!AllHandsError::Budget("steps".into()).retryable());
         assert!(!AllHandsError::BreakerOpen { head: Head::Classify }.retryable());

@@ -8,20 +8,21 @@
 
 use crate::breaker::Head;
 use allhands_embed::{hash64, mix64};
-use allhands_llm::{ChatOptions, LanguageModel, LlmError, LlmErrorKind, ModelTier, Prompt, PromptTask};
+use allhands_llm::LlmErrorKind;
 
-/// The fault kinds the injector can produce.
+/// The fault kinds a [`FaultPlan`] can schedule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultKind {
     /// The request never returns; surfaces as [`LlmErrorKind::Timeout`].
     Timeout,
     /// Provider-side throttling; surfaces as [`LlmErrorKind::RateLimited`].
     RateLimit,
-    /// Completion cut off mid-output.
+    /// Completion cut off mid-output; surfaces as [`LlmErrorKind::Truncated`].
     Truncated,
-    /// Completion garbled into something no parser accepts.
+    /// Completion garbled into something no parser accepts; surfaces as
+    /// [`LlmErrorKind::Malformed`].
     Malformed,
-    /// Completion came back empty.
+    /// Completion came back empty; surfaces as [`LlmErrorKind::Empty`].
     Empty,
     /// Process death at a pipeline crash point. Unlike the transient kinds
     /// this never surfaces as an error value: the run *aborts* (an
@@ -55,8 +56,10 @@ impl FaultKind {
         }
     }
 
-    /// The error kind a fault surfaces as when it cannot corrupt a payload
-    /// (typed-head calls) or when it is a pure request failure.
+    /// The error kind a fault surfaces as: [`ResilienceCtx::call`] turns an
+    /// injected fault into this error in place of running the attempt.
+    ///
+    /// [`ResilienceCtx::call`]: crate::ResilienceCtx::call
     pub fn error_kind(self) -> LlmErrorKind {
         match self {
             FaultKind::Timeout => LlmErrorKind::Timeout,
@@ -149,117 +152,9 @@ impl FaultPlan {
     }
 }
 
-/// How a fault manifested at the injection site.
-#[derive(Debug, Clone, PartialEq)]
-pub struct InjectionEvent {
-    pub call_index: u64,
-    pub head: Head,
-    pub kind: FaultKind,
-}
-
-/// A [`LanguageModel`] wrapper that injects faults per a [`FaultPlan`].
-///
-/// Request-level faults (timeout, rate limit) return errors without touching
-/// the inner model; payload faults (truncated, malformed, empty) run the
-/// inner model and corrupt its completion, exercising downstream output
-/// validation.
-pub struct FaultInjector<M> {
-    inner: M,
-    plan: FaultPlan,
-    calls: std::sync::atomic::AtomicU64,
-    log: std::sync::Mutex<Vec<InjectionEvent>>,
-}
-
-impl<M: LanguageModel> FaultInjector<M> {
-    pub fn new(inner: M, plan: FaultPlan) -> Self {
-        FaultInjector {
-            inner,
-            plan,
-            calls: std::sync::atomic::AtomicU64::new(0),
-            log: std::sync::Mutex::new(Vec::new()),
-        }
-    }
-
-    pub fn inner(&self) -> &M {
-        &self.inner
-    }
-
-    /// Number of completions attempted through this wrapper.
-    pub fn calls(&self) -> u64 {
-        self.calls.load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// Every fault injected so far, in call order.
-    pub fn injections(&self) -> Vec<InjectionEvent> {
-        self.log.lock().expect("injection log lock").clone()
-    }
-
-    fn head_for(task: PromptTask) -> Head {
-        match task {
-            PromptTask::Classify => Head::Classify,
-            PromptTask::TopicModel | PromptTask::Summarize => Head::Summarize,
-            PromptTask::GenerateCode => Head::Codegen,
-        }
-    }
-}
-
-impl<M: LanguageModel> LanguageModel for FaultInjector<M> {
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-
-    fn tier(&self) -> ModelTier {
-        self.inner.tier()
-    }
-
-    fn complete(&self, prompt: &Prompt, opts: &ChatOptions) -> Result<String, LlmError> {
-        let call_index = self.calls.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let head = Self::head_for(prompt.task);
-        let Some(kind) = self.plan.decide(head, call_index) else {
-            return self.inner.complete(prompt, opts);
-        };
-        self.log
-            .lock()
-            .expect("injection log lock")
-            .push(InjectionEvent { call_index, head, kind });
-        match kind {
-            FaultKind::Timeout => Err(LlmError::new(
-                LlmErrorKind::Timeout,
-                format!("injected timeout on call #{call_index} ({} head)", head.label()),
-            )),
-            FaultKind::RateLimit => Err(LlmError::new(
-                LlmErrorKind::RateLimited,
-                format!("injected rate limit on call #{call_index} ({} head)", head.label()),
-            )),
-            FaultKind::Truncated => {
-                let full = self.inner.complete(prompt, opts)?;
-                let mut cut = full.len() / 2;
-                while cut > 0 && !full.is_char_boundary(cut) {
-                    cut -= 1;
-                }
-                Ok(full[..cut].to_string())
-            }
-            FaultKind::Malformed => {
-                let full = self.inner.complete(prompt, opts)?;
-                Ok(format!("�{}", full.replace(' ', "\u{1}")))
-            }
-            FaultKind::Empty => {
-                // Still consult the inner model so permanent errors (e.g.
-                // context overflow) are not masked by the fault.
-                self.inner.complete(prompt, opts)?;
-                Ok(String::new())
-            }
-            FaultKind::Crash => {
-                unreachable!("crash faults are scheduled via crash_at, not the probabilistic plan")
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use allhands_llm::SimLlm;
 
     #[test]
     fn plan_is_deterministic_and_rate_accurate() {
@@ -292,34 +187,5 @@ mod tests {
             }
         }
         assert_eq!(seen.len(), FaultKind::ALL.len(), "kinds seen: {seen:?}");
-    }
-
-    #[test]
-    fn injector_wraps_complete() {
-        use allhands_llm::PromptTask;
-        let llm = FaultInjector::new(SimLlm::gpt4(), FaultPlan::uniform(3, 0.6));
-        let prompt = Prompt::new(PromptTask::Summarize, "Summarize.", "short document text");
-        let mut errors = 0;
-        let mut corrupted = 0;
-        for _ in 0..60 {
-            match llm.complete(&prompt, &ChatOptions::default()) {
-                Err(e) => {
-                    assert!(e.retryable(), "injected faults must be transient: {e}");
-                    errors += 1;
-                }
-                Ok(s) if s.is_empty() || s.contains('\u{1}') || s.contains('�') => corrupted += 1,
-                Ok(_) => {}
-            }
-        }
-        assert!(errors > 0, "no request-level faults in 60 calls at 60% rate");
-        assert!(corrupted > 0, "no payload faults in 60 calls at 60% rate");
-        assert_eq!(llm.calls(), 60);
-        // Truncated faults look like clean-but-short output, so the log can
-        // exceed the visibly-corrupted count.
-        assert!(llm.injections().len() >= errors + corrupted);
-        // Clean wrapper passes everything through.
-        let clean = FaultInjector::new(SimLlm::gpt4(), FaultPlan::none());
-        assert!(clean.complete(&prompt, &ChatOptions::default()).is_ok());
-        assert!(clean.injections().is_empty());
     }
 }

@@ -4,10 +4,9 @@
 //! in production each of those calls can time out, get throttled, or come
 //! back garbled. This crate makes that failure surface *testable*:
 //!
-//! - [`FaultInjector`] wraps any [`allhands_llm::LanguageModel`] and
-//!   injects transient faults on a seeded schedule ([`FaultPlan`]) — same
-//!   seed, same faults, bit-exact, reusing the hash-based determinism the
-//!   simulated model already uses for label slips;
+//! - [`FaultPlan`] schedules transient faults on model calls by seed —
+//!   same seed, same faults, bit-exact, reusing the hash-based determinism
+//!   the simulated model already uses for label slips;
 //! - [`RetryPolicy`] retries transient failures with exponential backoff
 //!   and deterministic jitter (delays are virtual: recorded, never slept);
 //! - [`CircuitBreaker`] (one per task [`Head`]) stops hammering a failing
@@ -16,11 +15,12 @@
 //!   on, with a single `retryable()` classification.
 //!
 //! [`ResilienceCtx`] ties these together: stages share one `Arc<ResilienceCtx>`
-//! and route their LLM operations through [`ResilienceCtx::call`], which does
-//! breaker admission, the retry loop, backoff bookkeeping, and breaker state
-//! transitions. Degradations (fallback classifier engaged, refinement
-//! skipped, partial answer) are recorded as [`DegradationEvent`]s so every
-//! degraded output carries an explicit, user-visible note.
+//! and run every typed-head call through [`ResilienceCtx::call`], the one
+//! place faults are injected, which also does breaker admission, the retry
+//! loop, backoff bookkeeping, and breaker state transitions. Degradations
+//! (fallback classifier engaged, refinement skipped, partial answer) are
+//! recorded as [`DegradationEvent`]s so every degraded output carries an
+//! explicit, user-visible note.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
@@ -31,7 +31,7 @@ pub mod retry;
 
 pub use breaker::{BreakerConfig, BreakerSnapshot, BreakerState, CircuitBreaker, Head};
 pub use error::AllHandsError;
-pub use fault::{FaultInjector, FaultKind, FaultPlan, InjectedCrash, InjectionEvent};
+pub use fault::{FaultKind, FaultPlan, InjectedCrash};
 pub use retry::RetryPolicy;
 
 use allhands_obs::Recorder;
@@ -127,7 +127,7 @@ struct CtxState {
     /// counter across heads keeps the schedule a pure function of call
     /// order, which is itself deterministic.
     fault_calls: u64,
-    /// Faults injected at the typed-head level (reporting).
+    /// Faults injected so far (reporting).
     injected: u64,
     /// Crash points passed so far; [`ResilienceCtx::crash_point`] panics
     /// when this counter reaches `fault.crash_at`.
@@ -265,11 +265,11 @@ impl ResilienceCtx {
         let policy = self.config.retry;
         let mut attempt = 1u32;
         loop {
-            // Stages call typed heads rather than the raw completion API, so
-            // the fault plan is consulted here too: an injected fault costs
-            // the attempt without running the operation. Each attempt
-            // advances the plan's call index, so retries of a faulted call
-            // re-roll rather than re-fault forever.
+            // The fault plan is consulted here and nowhere else: an
+            // injected fault costs the attempt without running the
+            // operation. Each attempt advances the plan's call index, so
+            // retries of a faulted call re-roll rather than re-fault
+            // forever.
             let injected = {
                 let mut st = self.lock();
                 st.stats.attempts += 1;
@@ -374,7 +374,7 @@ impl ResilienceCtx {
         }
     }
 
-    /// Faults injected at the typed-head level so far.
+    /// Faults injected so far.
     pub fn injected(&self) -> u64 {
         self.lock().injected
     }
@@ -527,7 +527,7 @@ mod tests {
     fn permanent_errors_abort_immediately() {
         let ctx = ResilienceCtx::new(ResilienceConfig::default());
         let out: Result<(), _> = ctx.call(Head::Codegen, |_| {
-            Err(AllHandsError::Llm(LlmError::new(LlmErrorKind::ContextOverflow, "too big")))
+            Err(AllHandsError::Llm(LlmError::new(LlmErrorKind::Generation, "gave up")))
         });
         assert!(matches!(out, Err(AllHandsError::Llm(_))));
         assert_eq!(ctx.stats().attempts, 1, "permanent errors must not be retried");

@@ -183,12 +183,14 @@ impl Ord for HeapEntry {
 /// Keep the best `k` results from a scored candidate stream, ties broken by
 /// ascending id for determinism. O(n log k) bounded-heap selection instead
 /// of a full O(n log n) sort — `k` is tiny (demo retrieval asks for ~4-24)
-/// while the candidate pool is the whole index.
+/// while the candidate pool is the whole index. `k` may come straight from
+/// a client, so the heap is sized by what it can actually hold: a huge `k`
+/// returns every candidate instead of attempting a `k`-sized allocation.
 pub(crate) fn top_k(candidates: Vec<SearchResult>, k: usize) -> Vec<SearchResult> {
     if k == 0 {
         return Vec::new();
     }
-    let mut heap = std::collections::BinaryHeap::with_capacity(k + 1);
+    let mut heap = std::collections::BinaryHeap::with_capacity(k.min(candidates.len()) + 1);
     for c in candidates {
         heap.push(HeapEntry(c));
         if heap.len() > k {
@@ -1208,6 +1210,35 @@ mod tests {
         ivf.train(4);
         assert!(ivf.get(500).is_some());
         assert_same_hits(&flat.search(&vec2(1.0, 0.2), 5), &ivf.search(&vec2(1.0, 0.2), 5), "post-retrain");
+    }
+
+    /// `k` can arrive straight from a client: a `k` far beyond the row
+    /// count returns every row, ranked as an exact-`k` search ranks them,
+    /// instead of attempting a `k`-sized allocation (which aborts the
+    /// process) or overflowing at `usize::MAX`. 1,100 rows of 8 dims put
+    /// the flat scan on its quantized path and the IVF partitions on the
+    /// exact one.
+    #[test]
+    fn huge_k_returns_every_row() {
+        let n = 1_100u64;
+        let mut flat = FlatIndex::new(8);
+        // nprobe >= partition count: the trained IVF probes every row.
+        let mut ivf = IvfIndex::new(8, 8);
+        for i in 0..n {
+            let v = Embedding::new((0..8).map(|d| ((i * 8 + d) as f32 * 0.37).sin()).collect());
+            flat.insert(Record::new(i, v.clone()));
+            ivf.insert(Record::new(i, v));
+        }
+        ivf.train(4);
+        assert!(ivf.is_trained());
+        let q = Embedding::new((0..8).map(|d| (d as f32 * 0.61).cos()).collect());
+        for k in [1usize << 40, usize::MAX] {
+            for (name, index) in [("flat", &flat as &dyn VectorIndex), ("ivf", &ivf)] {
+                let hits = index.search(&q, k);
+                assert_eq!(hits.len(), n as usize, "{name} k={k}");
+                assert_same_hits(&hits, &index.search(&q, n as usize), &format!("{name} k={k}"));
+            }
+        }
     }
 
     /// Regression for `IvfIndex::remove`: removing a non-tail record

@@ -41,6 +41,11 @@
 #                   allhands-serve end-to-end smoke — leader + 2 followers
 #                   on a Unix socket, reads served during an ingest, chains
 #                   and fingerprints asserted converged.
+#   --bench-smoke   the benchmark's own command exactly as BENCHMARK.json
+#                   declares it (a standalone release build of allhands-perf
+#                   into .bench_build/, offline), run with --smoke: every
+#                   workload once at reduced size, exiting non-zero on a
+#                   failed gate.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -51,6 +56,7 @@ checkpoint_smoke=0
 iofault_smoke=0
 query_smoke=0
 serve_smoke=0
+bench_smoke=0
 for arg in "$@"; do
   case "$arg" in
     --crash-smoke) crash_smoke=1 ;;
@@ -60,6 +66,7 @@ for arg in "$@"; do
     --iofault-smoke) iofault_smoke=1 ;;
     --query-smoke) query_smoke=1 ;;
     --serve-smoke) serve_smoke=1 ;;
+    --bench-smoke) bench_smoke=1 ;;
     *)
       echo "verify: unknown flag $arg" >&2
       exit 2
@@ -115,6 +122,12 @@ if [[ "$serve_smoke" == 1 ]]; then
   echo "==> serve smoke (replication sweep + apply convergence, then leader + 2 followers end-to-end)"
   cargo test -q --test serve_replication --test apply_convergence
   cargo run --release -p allhands-serve --bin allhands-serve -- --smoke --followers 2
+fi
+
+if [[ "$bench_smoke" == 1 ]]; then
+  echo "==> bench smoke (the BENCHMARK.json command, --smoke)"
+  CARGO_TARGET_DIR=.bench_build cargo run --release --quiet --offline \
+    --manifest-path crates/bench/src/bin/allhands-perf/Cargo.toml -- --smoke
 fi
 
 echo "verify: OK"

@@ -10,7 +10,7 @@
 
 use allhands::datasets::{generate_n, DatasetKind};
 use allhands::prelude::*;
-use allhands::resilience::{FaultInjector, FaultKind, FaultPlan, Head};
+use allhands::resilience::{FaultKind, Head};
 
 const QUESTIONS: [&str; 5] = [
     "How many feedback entries are there?",
@@ -139,41 +139,34 @@ fn disabled_injection_is_identical_to_baseline() {
 }
 
 #[test]
-fn fault_injector_wrapper_covers_all_kinds_deterministically() {
-    use allhands::llm::{ChatOptions, LanguageModel, Prompt, PromptTask, SimLlm};
-    let plan = FaultPlan::uniform(5, 0.5);
+fn resilience_call_covers_all_kinds_deterministically() {
+    // `ResilienceCtx::call` is the one fault-injection point: 200 calls
+    // cycling the three heads at a 50% fault rate must fire every transient
+    // kind and retry on every head, identically on every run.
     let run = || {
-        let llm = FaultInjector::new(SimLlm::gpt4(), plan);
-        let mut outcomes = Vec::new();
-        for i in 0..200 {
-            let prompt = Prompt::new(
-                match i % 3 {
-                    0 => PromptTask::Classify,
-                    1 => PromptTask::Summarize,
-                    _ => PromptTask::GenerateCode,
-                },
-                "Do the task.",
-                &format!("input text {i}"),
-            );
-            outcomes.push(match llm.complete(&prompt, &ChatOptions::default()) {
-                Ok(s) => format!("ok:{s}"),
-                Err(e) => {
-                    assert!(e.retryable(), "injected faults must be transient: {e}");
-                    format!("err:{e}")
+        let rec = Recorder::new();
+        let ctx = ResilienceCtx::with_recorder(ResilienceConfig::chaos(5, 0.5), rec.clone());
+        let outcomes: Vec<String> = (0..200)
+            .map(|i| {
+                let head = Head::ALL[i % Head::ALL.len()];
+                match ctx.call(head, Ok) {
+                    Ok(attempt) => format!("ok:{}:{attempt}", head.label()),
+                    Err(e) => format!("err:{}:{e}", head.label()),
                 }
-            });
-        }
-        (outcomes, llm.injections())
+            })
+            .collect();
+        (outcomes, rec.report())
     };
-    let (outcomes_a, injections_a) = run();
-    let (outcomes_b, injections_b) = run();
-    assert_eq!(outcomes_a, outcomes_b, "wrapper must be seed-deterministic");
-    assert_eq!(injections_a, injections_b);
-    // All five fault kinds and all three heads appear in 200 calls at 50%.
+    let (outcomes_a, report_a) = run();
+    let (outcomes_b, report_b) = run();
+    assert_eq!(outcomes_a, outcomes_b, "call outcomes must be seed-deterministic");
+    assert_eq!(report_a.deterministic_json(), report_b.deterministic_json());
     for kind in FaultKind::ALL {
-        assert!(injections_a.iter().any(|ev| ev.kind == kind), "kind {kind:?} never fired");
+        let key = format!("resilience.injected.{}", kind.label());
+        assert!(report_a.counter(&key) > 0, "{key} never fired");
     }
     for head in Head::ALL {
-        assert!(injections_a.iter().any(|ev| ev.head == head), "head {head:?} never hit");
+        let key = format!("resilience.retries.{}", head.label());
+        assert!(report_a.counter(&key) > 0, "{key} never fired");
     }
 }

@@ -1,4 +1,4 @@
-//! Reproducibility contract (paper Sec. 5.1): with temperature/top_p at 0
+//! Reproducibility contract (paper Sec. 5.1): with temperature at 0
 //! and fixed seeds, every stage of AllHands is bit-for-bit deterministic.
 
 use allhands::agent::{AgentConfig, QaAgent};
@@ -52,13 +52,13 @@ fn temperature_increases_slip_variability() {
         &llm,
         &pool,
         &labels,
-        IclConfig { chat: ChatOptions { temperature: 0.0, top_p: 0.0 }, ..Default::default() },
+        IclConfig { chat: ChatOptions { temperature: 0.0 }, ..Default::default() },
     );
     let hot = IclClassifier::fit(
         &llm,
         &pool,
         &labels,
-        IclConfig { chat: ChatOptions { temperature: 2.5, top_p: 1.0 }, ..Default::default() },
+        IclConfig { chat: ChatOptions { temperature: 2.5 }, ..Default::default() },
     );
     let disagreements = records
         .iter()

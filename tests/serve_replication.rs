@@ -309,3 +309,36 @@ fn lagging_follower_reports_its_lag_and_drains_after_resume() {
     std::fs::remove_dir_all(&data_dir).ok();
     std::fs::remove_file(&socket).ok();
 }
+
+/// `k` on a served search comes straight from the client. A `k` of 2^40
+/// used to size a 2^40-entry heap inside the vector index, and the failed
+/// allocation aborted the whole server, leader and followers alike. It now
+/// returns the probed rows, and the server keeps answering.
+#[test]
+fn huge_search_k_returns_hits_and_the_server_keeps_serving() {
+    let socket = Path::new(env!("CARGO_TARGET_TMPDIR"))
+        .join(format!("serve-huge-k-{}.sock", std::process::id()));
+    let data_dir = scratch_dir("huge-k-data");
+    let corpus = Corpus::synthetic(16, 23);
+    let opts = ServeOptions { followers: 1, config: tuned(), ..ServeOptions::default() };
+    let server = Server::start(&socket, &data_dir, &corpus, opts).expect("server start failed");
+    let mut client = ServeClient::connect(&socket).expect("client connect failed");
+
+    let reply = client
+        .call(&serde_json::json!({"op": "search", "text": "battery drain", "k": 1099511627776u64}))
+        .expect("huge-k search failed");
+    match &reply["hits"] {
+        serde_json::Value::Array(hits) => {
+            assert!(!hits.is_empty(), "huge-k search returned no hits");
+            assert!(hits.len() <= corpus.texts.len(), "more hits than rows: {}", hits.len());
+        }
+        other => panic!("search reply has no hits array: {other:?}"),
+    }
+    let answer = client.ask(QUESTIONS[0]).expect("ask after huge-k search failed");
+    assert!(answer.error.is_none(), "ask after huge-k search errored: {:?}", answer.error);
+
+    client.shutdown().expect("shutdown failed");
+    server.run_until_shutdown();
+    std::fs::remove_dir_all(&data_dir).ok();
+    std::fs::remove_file(&socket).ok();
+}
