@@ -109,11 +109,6 @@ impl QaAgent {
         &self.resilience
     }
 
-    /// The model name driving this agent.
-    pub fn model_name(&self) -> &str {
-        self.llm.spec().name
-    }
-
     /// Register a custom analysis plugin, available to generated code —
     /// the paper's "self-defined plugins" extension point.
     pub fn register_plugin(&mut self, name: &str, f: allhands_query::plugins::PluginFn) {

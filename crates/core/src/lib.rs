@@ -599,11 +599,6 @@ impl QuarantineReport {
     pub fn quarantined_count(&self) -> usize {
         self.quarantined.len()
     }
-
-    /// Number of degradation notes.
-    pub fn degradation_count(&self) -> usize {
-        self.degradations.len()
-    }
 }
 
 impl std::fmt::Display for QuarantineReport {

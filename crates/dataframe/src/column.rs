@@ -167,11 +167,6 @@ impl Column {
         Column::new(name, ColumnData::Str(values.into_iter().map(Some).collect()))
     }
 
-    /// Non-null bool column.
-    pub fn from_bools(name: &str, values: &[bool]) -> Self {
-        Column::new(name, ColumnData::Bool(values.iter().map(|&v| Some(v)).collect()))
-    }
-
     /// Non-null datetime column from epoch seconds.
     pub fn from_datetimes(name: &str, epochs: &[i64]) -> Self {
         Column::new(

@@ -47,30 +47,6 @@ impl Value {
         }
     }
 
-    /// Boolean view.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// Epoch-seconds view.
-    pub fn as_datetime(&self) -> Option<i64> {
-        match self {
-            Value::DateTime(t) => Some(*t),
-            _ => None,
-        }
-    }
-
-    /// String-list view.
-    pub fn as_str_list(&self) -> Option<&[String]> {
-        match self {
-            Value::StrList(v) => Some(v),
-            _ => None,
-        }
-    }
-
     /// Total ordering used by sort and group-by: Null sorts first; numeric
     /// types compare numerically across Int/Float; lists compare
     /// lexicographically; cross-type comparisons fall back to a stable

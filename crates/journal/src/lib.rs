@@ -51,6 +51,7 @@
 //! every checkpoint/compaction seam — and assert resumed transcripts equal
 //! uninterrupted ones.
 
+#![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod vfs;
@@ -82,11 +83,21 @@ pub enum JournalError {
     /// Filesystem failure (message carries the operation and path).
     Io(String),
     /// The journal belongs to a different run (header mismatch).
-    RunMismatch { expected: String, found: String },
+    RunMismatch {
+        /// The fingerprint of the run opening the journal.
+        expected: String,
+        /// The fingerprint the journal's header or checkpoint records.
+        found: String,
+    },
     /// Payload (de)serialization failed.
     Codec(String),
     /// Another live session holds the journal directory's lock.
-    Locked { path: String, holder: u32 },
+    Locked {
+        /// The lock file.
+        path: String,
+        /// The pid recorded in the lock file (0 when unreadable).
+        holder: u32,
+    },
     /// The journal tripped into read-only degraded mode (repeated storage
     /// failures on the write path). Reads keep serving; writes are refused
     /// until the journal is reopened.
@@ -840,12 +851,6 @@ impl Journal {
         self.corrupt_checkpoints
     }
 
-    /// Checkpoint files skipped at open time because reading them failed
-    /// with an I/O error (distinct from content corruption).
-    pub fn checkpoint_read_errors(&self) -> usize {
-        self.ckpt_read_errors
-    }
-
     /// Whether the write path has tripped into read-only degraded mode.
     pub fn is_read_only(&self) -> bool {
         self.read_only.is_some()
@@ -1176,17 +1181,6 @@ impl Journal {
         self.run.as_deref()
     }
 
-    /// Write checkpoint `marker` atomically: temp file, half-write and full
-    /// fsync, rename over the final name, directory fsync. Crash seams fire
-    /// the crash hook at every step (`ckpt:{marker}:write-start`,
-    /// `:mid-write`, `:pre-rename`, `:committed`); a crash anywhere leaves
-    /// either the previous durable checkpoint set or the new one, never a
-    /// half state that passes hash verification.
-    ///
-    /// Writing a marker that already has a durable checkpoint under the
-    /// current fingerprint is a no-op: deterministic replay re-reaches
-    /// committed checkpoint seams, and rewriting the file would move its
-    /// chain anchor away from the seq the compacted WAL actually starts at.
     /// The exact file line for a checkpoint record, shared by the writer
     /// and bootstrap-bundle export so both produce byte-identical text.
     fn render_checkpoint_line(c: &CheckpointRecord) -> Result<String, JournalError> {
@@ -1239,6 +1233,17 @@ impl Journal {
         Ok(())
     }
 
+    /// Write checkpoint `marker` atomically: temp file, half-write and full
+    /// fsync, rename over the final name, directory fsync. Crash seams fire
+    /// the crash hook at every step (`ckpt:{marker}:write-start`,
+    /// `:mid-write`, `:pre-rename`, `:committed`); a crash anywhere leaves
+    /// either the previous durable checkpoint set or the new one, never a
+    /// half state that passes hash verification.
+    ///
+    /// Writing a marker that already has a durable checkpoint under the
+    /// current fingerprint is a no-op: deterministic replay re-reaches
+    /// committed checkpoint seams, and rewriting the file would move its
+    /// chain anchor away from the seq the compacted WAL actually starts at.
     pub fn checkpoint<T: Serialize>(&mut self, marker: u64, payload: &T) -> Result<(), JournalError> {
         if let Some(reason) = &self.read_only {
             return Err(JournalError::ReadOnly(reason.clone()));
@@ -1275,18 +1280,6 @@ impl Journal {
         Ok(())
     }
 
-    /// Compact the journal: keep the newest `keep_last_k` checkpoints
-    /// (minimum 1), prune older checkpoint files, and truncate WAL entries
-    /// below the **oldest retained** checkpoint's `upto_seq`. The truncated
-    /// WAL's first line then verifies from that checkpoint's recorded chain
-    /// head, so the hash chain stays intact. Anchoring at the oldest
-    /// retained checkpoint — not the newest — means a later-corrupted
-    /// newest checkpoint still leaves an older one plus the surviving delta
-    /// records able to recover the full state.
-    ///
-    /// The WAL rewrite uses the same atomic temp + rename + dir-fsync
-    /// protocol as checkpoints, with crash seams `compact:start`,
-    /// `:pruned`, `:mid-truncate`, `:pre-rename`, `:committed`.
     /// A compaction failure at the tmp-write site: the live WAL was never
     /// touched (the rename did not happen), so cleanup is just counting the
     /// fault and removing the tmp.
@@ -1330,6 +1323,18 @@ impl Journal {
         }
     }
 
+    /// Compact the journal: keep the newest `keep_last_k` checkpoints
+    /// (minimum 1), prune older checkpoint files, and truncate WAL entries
+    /// below the **oldest retained** checkpoint's `upto_seq`. The truncated
+    /// WAL's first line then verifies from that checkpoint's recorded chain
+    /// head, so the hash chain stays intact. Anchoring at the oldest
+    /// retained checkpoint — not the newest — means a later-corrupted
+    /// newest checkpoint still leaves an older one plus the surviving delta
+    /// records able to recover the full state.
+    ///
+    /// The WAL rewrite uses the same atomic temp + rename + dir-fsync
+    /// protocol as checkpoints, with crash seams `compact:start`,
+    /// `:pruned`, `:mid-truncate`, `:pre-rename`, `:committed`.
     pub fn compact(&mut self, keep_last_k: usize) -> Result<CompactStats, JournalError> {
         if let Some(reason) = &self.read_only {
             return Err(JournalError::ReadOnly(reason.clone()));

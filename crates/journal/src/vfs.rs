@@ -55,6 +55,7 @@ pub trait VfsFile: Send + Sync {
 /// shareable across the session (`Send + Sync`); the journal itself
 /// serializes its calls.
 pub trait Vfs: Send + Sync {
+    /// Create `dir` and any missing parents.
     fn create_dir_all(&self, dir: &Path) -> io::Result<()>;
     /// Open read+append, creating if absent (the WAL handle).
     fn open_append(&self, path: &Path) -> io::Result<Box<dyn VfsFile>>;
@@ -67,7 +68,10 @@ pub trait Vfs: Send + Sync {
     fn read(&self, path: &Path) -> io::Result<Vec<u8>>;
     /// Every entry in `dir`, in unspecified order.
     fn read_dir(&self, dir: &Path) -> io::Result<Vec<PathBuf>>;
+    /// Rename `from` over `to` (the commit step of every temp-file
+    /// write).
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()>;
+    /// Delete a file.
     fn remove_file(&self, path: &Path) -> io::Result<()>;
     /// Fsync the directory so completed renames survive power loss.
     fn sync_dir(&self, dir: &Path) -> io::Result<()>;
@@ -227,6 +231,8 @@ fn mix(mut x: u64) -> u64 {
 /// sustained-outage testing.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct IoFaultPlan {
+    /// Seed of the `rate` draw: whether op #N faults, and with which kind,
+    /// is a pure function of (seed, N).
     pub seed: u64,
     /// Probability that any given applicable op faults; the kind is drawn
     /// uniformly from the kinds applicable to that op class.
@@ -293,6 +299,7 @@ impl IoFaultPlan {
 pub struct IoFaultEvent {
     /// The global op index the fault fired on.
     pub op: u64,
+    /// The injected fault.
     pub kind: IoFaultKind,
     /// The operation it hit, e.g. `"write"`, `"fsync"`, `"rename"`.
     pub op_name: &'static str,
@@ -324,6 +331,7 @@ pub struct FaultVfs {
 }
 
 impl FaultVfs {
+    /// A faulting filesystem following `plan`, its op counter at zero.
     pub fn new(plan: IoFaultPlan) -> Self {
         FaultVfs {
             state: Arc::new(FaultState {

@@ -64,11 +64,6 @@ impl FigureSpec {
         Ok(FigureSpec { kind, title: title.to_string(), x_labels, series })
     }
 
-    /// Total number of data points.
-    pub fn n_points(&self) -> usize {
-        self.series.iter().map(|s| s.values.len()).sum()
-    }
-
     /// A crude layout-quality heuristic in [0, 1]: penalizes missing
     /// titles, crowded axes (many labels), and empty data. The readability
     /// judge consumes this, mirroring the paper's observation that

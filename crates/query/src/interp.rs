@@ -27,26 +27,6 @@ pub enum QueryEngine {
     RowWise,
 }
 
-/// Plan-cache counters, exposed for tests (the same numbers
-/// are recorded as volatile `query.plan.*` obs counters).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PlanCacheStats {
-    /// Cache hits (lowered shape seen before with the same schemas).
-    pub hits: u64,
-    /// Cache misses (shape lowered and optimized fresh).
-    pub misses: u64,
-    /// Optimizer rewrite rules applied across all misses.
-    pub rules_fired: u64,
-    /// Rows removed by pushed-down filters before a join/group_by.
-    pub rows_pruned: u64,
-    /// Lowered runs that fell back to the row-wise engine.
-    pub fallbacks: u64,
-}
-
-/// Bound on remembered plan shapes per session; generated programs repeat a
-/// handful of shapes, so a small cap is ample and keeps memory flat.
-const PLAN_CACHE_CAP: usize = 256;
-
 /// A runtime value.
 #[derive(Debug, Clone, serde::Serialize)]
 pub enum RtValue {
@@ -137,10 +117,7 @@ pub struct Interpreter {
     effects: Effects,
     /// Execution strategy for top-level frame-method chains.
     engine: QueryEngine,
-    /// Optimized plans keyed on lowered shape + input schemas.
-    plan_cache: HashMap<String, Vec<PlanOp>>,
-    plan_stats: PlanCacheStats,
-    /// Obs sink for `query.plan.*` volatile counters (disabled by default).
+    /// Obs sink for `query.exec.*` volatile counters (disabled by default).
     recorder: Recorder,
 }
 
@@ -163,8 +140,6 @@ impl Interpreter {
             steps_taken: 0,
             effects: Effects::default(),
             engine: QueryEngine::Vectorized,
-            plan_cache: HashMap::new(),
-            plan_stats: PlanCacheStats::default(),
             recorder: Recorder::disabled(),
         }
     }
@@ -179,17 +154,12 @@ impl Interpreter {
         self.engine
     }
 
-    /// Route `query.plan.*` counters into an obs recorder. Counters go
-    /// through the volatile annex only (no spans): sessions run on serve
-    /// applier threads where plan-cache hit patterns legitimately differ
-    /// between leader and replayed followers.
+    /// Route the `query.exec.*` counters (vectorized runs and row-wise
+    /// fallbacks) into an obs recorder. Counters go through the volatile
+    /// annex only (no spans): sessions run on serve applier threads, where
+    /// the counts need not match between leader and replayed followers.
     pub fn set_recorder(&mut self, recorder: Recorder) {
         self.recorder = recorder;
-    }
-
-    /// Plan-cache counters for this interpreter.
-    pub fn plan_cache_stats(&self) -> PlanCacheStats {
-        self.plan_stats
     }
 
     /// Bind a value (e.g. the pre-loaded `feedback` frame).
@@ -399,7 +369,6 @@ impl Interpreter {
                                 // engine, byte-for-byte.
                                 self.steps_left = snapshot.0;
                                 self.steps_taken = snapshot.1;
-                                self.plan_stats.fallbacks += 1;
                                 self.recorder.vincr("query.exec.fallback");
                                 row_wise_rest = true;
                             }
@@ -415,9 +384,8 @@ impl Interpreter {
         Ok(current)
     }
 
-    /// Optimize (with plan-cache lookup) and execute a lowered run against
-    /// `base`. Any `Err` is a signal to fall back, never a user-visible
-    /// error.
+    /// Optimize and execute a lowered run against `base`. Any `Err` is a
+    /// signal to fall back, never a user-visible error.
     fn exec_lowered(
         &mut self,
         base: &DataFrame,
@@ -425,60 +393,15 @@ impl Interpreter {
     ) -> Result<DataFrame, QueryError> {
         let base_schema: Vec<String> =
             base.columns().iter().map(|c| c.name().to_string()).collect();
-        // Resolve the schemas of join right-hand sides up front: they are
-        // part of the cache key (a re-bound right frame must not reuse a
-        // stale optimized plan) and the optimizer's legality analysis.
-        let mut right_schemas: Vec<(String, Vec<String>)> = Vec::new();
-        for op in &ops {
-            if let PlanOp::Join { right, .. } = op {
-                match self.bindings.get(right) {
-                    Some(RtValue::Frame(rf)) => right_schemas.push((
-                        right.clone(),
-                        rf.columns().iter().map(|c| c.name().to_string()).collect(),
-                    )),
-                    // Not a frame (or unbound): the join will error; let the
-                    // row-wise engine produce that error.
-                    _ => return Err(QueryError::runtime("join target is not a frame")),
-                }
-            }
-        }
-        let key = plan::cache_key(&ops, &base_schema, &right_schemas);
-        let ops = if let Some(cached) = self.plan_cache.get(&key) {
-            self.plan_stats.hits += 1;
-            self.recorder.vincr("query.plan.cache.hits");
-            cached.clone()
-        } else {
-            self.plan_stats.misses += 1;
-            self.recorder.vincr("query.plan.cache.misses");
-            let lookup = |name: &str| -> Option<Vec<String>> {
-                right_schemas
-                    .iter()
-                    .find(|(n, _)| n == name)
-                    .map(|(_, s)| s.clone())
-            };
-            let (optimized, opt_stats) = plan::optimize(ops, &base_schema, &lookup);
-            self.plan_stats.rules_fired += opt_stats.rules_fired;
-            self.recorder.vadd("query.plan.rules.fired", opt_stats.rules_fired);
-            if self.plan_cache.len() < PLAN_CACHE_CAP {
-                self.plan_cache.insert(key, optimized.clone());
-            }
-            optimized
-        };
-
-        let mut pruned: u64 = 0;
+        let ops = plan::optimize(ops, &base_schema);
         let mut out: Option<DataFrame> = None;
         for op in &ops {
             let f: &DataFrame = out.as_ref().unwrap_or(base);
             self.charge_steps(op_charge(op, f.n_rows()))?;
             let next = match op {
-                PlanOp::Filter { pred, pushed } => {
+                PlanOp::Filter { pred } => {
                     let mask = exec::filter_mask(f, pred, &self.bindings)?;
-                    let before = f.n_rows();
-                    let nf = f.filter(&mask)?;
-                    if *pushed {
-                        pruned += (before - nf.n_rows()) as u64;
-                    }
-                    nf
+                    f.filter(&mask)?
                 }
                 PlanOp::Derive { name, expr } => {
                     let col = exec::derive_column(f, name, expr, &self.bindings)?;
@@ -517,10 +440,6 @@ impl Interpreter {
                 }
             };
             out = Some(next);
-        }
-        self.plan_stats.rows_pruned += pruned;
-        if pruned > 0 {
-            self.recorder.vadd("query.plan.rows.pruned", pruned);
         }
         self.recorder.vincr("query.exec.vectorized");
         Ok(out.unwrap_or_else(|| base.clone()))
@@ -1020,7 +939,7 @@ fn expect_arity(name: &str, args: &[Expr], n: usize) -> Result<(), QueryError> {
 /// row-wise engine's per-row/per-node charges.
 fn op_charge(op: &PlanOp, rows: usize) -> u64 {
     match op {
-        PlanOp::Filter { pred, .. } => 1 + rows as u64 * pred.node_count(),
+        PlanOp::Filter { pred } => 1 + rows as u64 * pred.node_count(),
         PlanOp::Derive { expr, .. } => 2 + rows as u64 * expr.node_count(),
         PlanOp::GroupBy { keys, aggs } => 1 + (keys.len() + aggs.len()) as u64,
         PlanOp::Select { cols } => 1 + cols.len() as u64,

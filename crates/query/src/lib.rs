@@ -46,7 +46,7 @@ pub mod session;
 pub use ast::{BinOp, Expr, Program, Stmt, UnOp};
 pub use error::QueryError;
 pub use figure::{FigureKind, FigureSpec, Series};
-pub use interp::{Interpreter, PlanCacheStats, QueryEngine, RtValue};
+pub use interp::{Interpreter, QueryEngine, RtValue};
 pub use lexer::{Lexer, Token, TokenKind};
 pub use parser::parse_program;
 pub use session::{CellResult, Session, SessionLimits};

@@ -1,20 +1,16 @@
 //! Logical-plan layer between the AQL AST and the dataframe kernels.
 //!
 //! Frame-method chains lower into a small [`PlanOp`] IR; a rule-based
-//! optimizer applies predicate pushdown (filter before join/group_by/sort),
-//! head-limit fusion into sort (top-k), and conservative projection
-//! pruning. Lowering is strictly opt-in: any construct whose semantics the
-//! vectorized executor cannot reproduce exactly (effects, plugins, dynamic
-//! arguments, unknown functions or arities) simply does not lower and runs
-//! through the row-wise interpreter unchanged.
+//! optimizer applies head-limit fusion into sort (top-k) and conservative
+//! projection pruning. Lowering is strictly opt-in: any construct whose
+//! semantics the vectorized executor cannot reproduce exactly (effects,
+//! plugins, dynamic arguments, unknown functions or arities) simply does
+//! not lower and runs through the row-wise interpreter unchanged.
 //!
 //! Optimizer legality notes live next to each rule. The overarching safety
 //! net is the executor's fallback contract (see
-//! `Interpreter::eval_method_chain`): a rewrite that introduces an error
-//! the original evaluation order would not hit — e.g. a pushed-down
-//! predicate evaluated on rows an inner join would have dropped — aborts
-//! the vectorized attempt, and the row-wise engine re-runs the chain
-//! authoritatively.
+//! `Interpreter::eval_method_chain`): any error in the vectorized attempt
+//! aborts it, and the row-wise engine re-runs the chain authoritatively.
 
 use crate::ast::{BinOp, Expr, UnOp};
 use crate::interp::number_value;
@@ -68,20 +64,13 @@ impl VExpr {
             VExpr::Call { args, .. } => args.iter().for_each(|e| e.idents_into(out)),
         }
     }
-
-    fn idents(&self) -> Vec<String> {
-        let mut out = Vec::new();
-        self.idents_into(&mut out);
-        out
-    }
 }
 
 /// One lowered frame operation.
 #[derive(Debug, Clone)]
 pub(crate) enum PlanOp {
-    /// `filter(pred)`; `pushed` marks predicates the optimizer moved
-    /// earlier (their pruned row counts are reported separately).
-    Filter { pred: VExpr, pushed: bool },
+    /// `filter(pred)`.
+    Filter { pred: VExpr },
     /// `derive(name, expr)`.
     Derive { name: String, expr: VExpr },
     /// `select(cols...)`.
@@ -135,9 +124,7 @@ pub(crate) fn lower_ops(calls: &[ChainCall]) -> (Vec<PlanOp>, usize) {
 fn lower_call(call: &ChainCall) -> Option<PlanOp> {
     let args = call.args;
     Some(match call.name {
-        "filter" if args.len() == 1 => {
-            PlanOp::Filter { pred: lower_vexpr(&args[0])?, pushed: false }
-        }
+        "filter" if args.len() == 1 => PlanOp::Filter { pred: lower_vexpr(&args[0])? },
         "derive" if args.len() == 2 => {
             let Expr::Str(name) = &args[0] else { return None };
             PlanOp::Derive { name: name.clone(), expr: lower_vexpr(&args[1])? }
@@ -270,42 +257,17 @@ fn lower_vexpr(e: &Expr) -> Option<VExpr> {
     })
 }
 
-/// Cache key: the lowered (pre-optimization) ops plus every input schema
-/// that optimization decisions depend on. Debug formatting is deterministic
-/// and distinguishes all literal forms.
-pub(crate) fn cache_key(
-    ops: &[PlanOp],
-    base_schema: &[String],
-    right_schemas: &[(String, Vec<String>)],
-) -> String {
-    format!("{ops:?}|base={base_schema:?}|right={right_schemas:?}")
-}
-
-/// Optimizer statistics for obs counters.
-#[derive(Debug, Default)]
-pub(crate) struct OptStats {
-    pub(crate) rules_fired: u64,
-}
-
-/// Apply the rewrite rules. `right_schema` resolves a join binding's column
-/// names (None if unresolvable — legality checks then refuse to fire).
-pub(crate) fn optimize(
-    ops: Vec<PlanOp>,
-    base_schema: &[String],
-    right_schema: &dyn Fn(&str) -> Option<Vec<String>>,
-) -> (Vec<PlanOp>, OptStats) {
-    let mut stats = OptStats::default();
-    let ops = fuse_heads(ops, &mut stats);
-    let mut ops = push_down_filters(ops, base_schema, right_schema, &mut stats);
+/// Apply the rewrite rules against the base frame's column names.
+pub(crate) fn optimize(ops: Vec<PlanOp>, base_schema: &[String]) -> Vec<PlanOp> {
+    let mut ops = fuse_heads(ops);
     if let Some(select) = prune_projection(&ops, base_schema) {
         ops.insert(0, select);
-        stats.rules_fired += 1;
     }
-    (ops, stats)
+    ops
 }
 
 /// Rule: `sort(c).head(k)` → top-k selection; adjacent heads collapse.
-fn fuse_heads(ops: Vec<PlanOp>, stats: &mut OptStats) -> Vec<PlanOp> {
+fn fuse_heads(ops: Vec<PlanOp>) -> Vec<PlanOp> {
     let mut out: Vec<PlanOp> = Vec::with_capacity(ops.len());
     for op in ops {
         match (&op, out.last_mut()) {
@@ -313,101 +275,17 @@ fn fuse_heads(ops: Vec<PlanOp>, stats: &mut OptStats) -> Vec<PlanOp> {
                 let fused =
                     PlanOp::TopK { col: col.clone(), ascending: *ascending, k: *n };
                 *out.last_mut().expect("checked") = fused;
-                stats.rules_fired += 1;
             }
             (PlanOp::Head { n }, Some(PlanOp::TopK { k, .. })) => {
                 *k = (*k).min(*n);
-                stats.rules_fired += 1;
             }
             (PlanOp::Head { n }, Some(PlanOp::Head { n: prev })) => {
                 *prev = (*prev).min(*n);
-                stats.rules_fired += 1;
             }
             _ => out.push(op),
         }
     }
     out
-}
-
-/// Rule: move filters before join/group_by/sort when every identifier the
-/// predicate references keeps the same resolution and the move cannot turn
-/// a row-wise error into a success.
-///
-/// - **Join**: legal when each predicate ident is a column of the pre-join
-///   left schema (left columns keep their names — colliding right columns
-///   are `_right`-suffixed) or not a column of the post-join frame at all
-///   (then it resolves to a session binding either way). Filtering left
-///   rows before the join produces the same pairs in the same order, for
-///   both inner and left joins. The pushed predicate may evaluate on rows
-///   the join would have dropped — extra errors trigger the row-wise
-///   fallback; extra successes are impossible (evaluated rows are a
-///   superset).
-/// - **GroupBy**: legal when every predicate ident is one of the keys, or
-///   a column of neither the input nor the output schema (a binding — or an
-///   unknown name, which errors identically on both sides). Filtering rows
-///   by a predicate on key values removes whole groups, so surviving groups
-///   keep their exact member rows, aggregates and first-appearance order.
-///   (For Join the `x ∉ post` escape needs no input-schema guard: the left
-///   schema is a subset of the post-join schema.)
-/// - **Sort**: always legal — filtering preserves relative order, so
-///   sort-then-filter and filter-then-sort agree for a stable sort.
-/// - Never past another filter (pointless), `head`/`top-k` (changes which
-///   rows are kept), `derive` (the derive might error on rows the filter
-///   would remove, turning a row-wise error into a vectorized success), or
-///   `select` (could change an identifier's column-vs-binding resolution).
-fn push_down_filters(
-    mut ops: Vec<PlanOp>,
-    base_schema: &[String],
-    right_schema: &dyn Fn(&str) -> Option<Vec<String>>,
-    stats: &mut OptStats,
-) -> Vec<PlanOp> {
-    // Input schema at each op position. Filters are schema-neutral, so
-    // swapping one with a neighbor leaves every entry valid.
-    let mut schemas: Vec<Option<Vec<String>>> = Vec::with_capacity(ops.len() + 1);
-    schemas.push(Some(base_schema.to_vec()));
-    for op in &ops {
-        let next = schemas
-            .last()
-            .expect("non-empty")
-            .as_ref()
-            .and_then(|s| schema_after(op, s, right_schema));
-        schemas.push(next);
-    }
-    for i in 1..ops.len() {
-        let PlanOp::Filter { pred, .. } = &ops[i] else { continue };
-        let idents = pred.idents();
-        let mut j = i;
-        while j > 0 {
-            let Some(schema_in) = &schemas[j - 1] else { break };
-            let Some(schema_out) = &schemas[j] else { break };
-            let legal = match &ops[j - 1] {
-                PlanOp::Sort { .. } => true,
-                PlanOp::Join { .. } => idents.iter().all(|x| {
-                    schema_in.contains(x) || !schema_out.contains(x)
-                }),
-                PlanOp::GroupBy { keys, .. } => idents.iter().all(|x| {
-                    // A non-key ident must be invisible on BOTH sides of
-                    // the op: if it is a column only before the group_by
-                    // (e.g. an aggregated-away input), the original chain
-                    // errors with "unknown name" while the pushed filter
-                    // would happily read the pre-group column.
-                    keys.contains(x)
-                        || (!schema_out.contains(x) && !schema_in.contains(x))
-                }),
-                _ => false,
-            };
-            if !legal {
-                break;
-            }
-            ops.swap(j - 1, j);
-            if let PlanOp::Filter { pushed, .. } = &mut ops[j - 1] {
-                *pushed = true;
-            }
-            stats.rules_fired += 1;
-            j -= 1;
-        }
-    }
-    ops
 }
 
 /// Rule: when an early op bounds the output schema (select / group_by /
@@ -429,7 +307,7 @@ fn prune_projection(ops: &[PlanOp], base_schema: &[String]) -> Option<PlanOp> {
     for op in &ops[..=bound] {
         let mut refs: Vec<String> = Vec::new();
         match op {
-            PlanOp::Filter { pred, .. } => pred.idents_into(&mut refs),
+            PlanOp::Filter { pred } => pred.idents_into(&mut refs),
             PlanOp::Derive { expr, .. } => expr.idents_into(&mut refs),
             PlanOp::Select { cols } => refs.extend(cols.iter().cloned()),
             PlanOp::GroupBy { keys, aggs } => {
@@ -456,56 +334,6 @@ fn prune_projection(ops: &[PlanOp], base_schema: &[String]) -> Option<PlanOp> {
     let cols: Vec<String> =
         base_schema.iter().filter(|c| needed.contains(c)).cloned().collect();
     Some(PlanOp::Select { cols })
-}
-
-/// Column names after applying `op` to a frame with `schema`; `None` when
-/// the result schema cannot be determined statically.
-fn schema_after(
-    op: &PlanOp,
-    schema: &[String],
-    right_schema: &dyn Fn(&str) -> Option<Vec<String>>,
-) -> Option<Vec<String>> {
-    Some(match op {
-        PlanOp::Filter { .. }
-        | PlanOp::Sort { .. }
-        | PlanOp::TopK { .. }
-        | PlanOp::Head { .. } => schema.to_vec(),
-        PlanOp::Derive { name, .. } => {
-            let mut s = schema.to_vec();
-            if !s.contains(name) {
-                s.push(name.clone());
-            }
-            s
-        }
-        PlanOp::Select { cols } => cols.clone(),
-        PlanOp::GroupBy { keys, aggs } => {
-            let mut s = keys.clone();
-            s.extend(aggs.iter().map(Aggregation::output_name));
-            s
-        }
-        PlanOp::ValueCounts { col } => {
-            if col == "count" {
-                vec!["count_value".to_string(), "count".to_string()]
-            } else {
-                vec![col.clone(), "count".to_string()]
-            }
-        }
-        PlanOp::Join { right, on, .. } => {
-            let rs = right_schema(right)?;
-            let mut s = schema.to_vec();
-            for rc in rs {
-                if rc == *on {
-                    continue;
-                }
-                if schema.contains(&rc) {
-                    s.push(format!("{rc}_right"));
-                } else {
-                    s.push(rc);
-                }
-            }
-            s
-        }
-    })
 }
 
 #[cfg(test)]
@@ -550,47 +378,12 @@ mod tests {
     #[test]
     fn sort_head_fuses_to_top_k() {
         let (ops, _) = lower_src(r#"df.sort("x", "desc").head(5).head(9)"#);
-        let (ops, stats) = optimize(ops, &["x".to_string()], &|_| None);
+        let ops = optimize(ops, &["x".to_string()]);
         assert_eq!(ops.len(), 1);
         assert!(
             matches!(&ops[0], PlanOp::TopK { col, ascending: false, k: 5 } if col == "x"),
             "{ops:?}"
         );
-        assert_eq!(stats.rules_fired, 2);
-    }
-
-    #[test]
-    fn filter_pushes_past_join_on_left_columns_only() {
-        let (ops, _) = lower_src(r#"df.join(other, "k", "inner").filter(x > 1)"#);
-        let schema = vec!["k".to_string(), "x".to_string()];
-        let rs = |name: &str| {
-            (name == "other").then(|| vec!["k".to_string(), "y".to_string()])
-        };
-        let (opt, stats) = optimize(ops, &schema, &rs);
-        assert!(matches!(opt[0], PlanOp::Filter { pushed: true, .. }), "{opt:?}");
-        assert!(matches!(opt[1], PlanOp::Join { .. }));
-        assert_eq!(stats.rules_fired, 1);
-
-        // A predicate on a right-side column must not move.
-        let (ops, _) = lower_src(r#"df.join(other, "k", "inner").filter(y > 1)"#);
-        let (opt, stats) = optimize(ops, &schema, &rs);
-        assert!(matches!(opt[0], PlanOp::Join { .. }), "{opt:?}");
-        assert_eq!(stats.rules_fired, 0);
-    }
-
-    #[test]
-    fn filter_pushes_past_group_by_on_keys_only() {
-        let schema = vec!["k".to_string(), "v".to_string()];
-        let (ops, _) =
-            lower_src(r#"df.group_by("k", sum("v")).filter(k == "a")"#);
-        let (opt, _) = optimize(ops, &schema, &|_| None);
-        assert!(matches!(opt[0], PlanOp::Filter { pushed: true, .. }), "{opt:?}");
-
-        // Predicate on the aggregate output stays put.
-        let (ops, _) =
-            lower_src(r#"df.group_by("k", sum("v")).filter(v_sum > 1)"#);
-        let (opt, _) = optimize(ops, &schema, &|_| None);
-        assert!(matches!(opt[0], PlanOp::GroupBy { .. }), "{opt:?}");
     }
 
     #[test]
@@ -599,9 +392,8 @@ mod tests {
         // would mask the row-wise division-by-zero error.
         let schema = vec!["x".to_string()];
         let (ops, _) = lower_src(r#"df.derive("d", 1 / x).filter(x != 0)"#);
-        let (opt, stats) = optimize(ops, &schema, &|_| None);
+        let opt = optimize(ops, &schema);
         assert!(matches!(opt[0], PlanOp::Derive { .. }), "{opt:?}");
-        assert_eq!(stats.rules_fired, 0);
     }
 
     #[test]
@@ -610,18 +402,10 @@ mod tests {
             ["a", "b", "c", "d"].iter().map(|s| s.to_string()).collect();
         let (ops, _) =
             lower_src(r#"df.filter(a > 1).group_by("b", mean("c"))"#);
-        let (opt, _) = optimize(ops, &schema, &|_| None);
+        let opt = optimize(ops, &schema);
         let PlanOp::Select { cols } = &opt[0] else {
             panic!("expected pruning select, got {opt:?}");
         };
         assert_eq!(cols, &["a".to_string(), "b".to_string(), "c".to_string()]);
-    }
-
-    #[test]
-    fn cache_key_distinguishes_schemas() {
-        let (ops, _) = lower_src(r#"df.filter(x > 1)"#);
-        let k1 = cache_key(&ops, &["x".to_string()], &[]);
-        let k2 = cache_key(&ops, &["x".to_string(), "y".to_string()], &[]);
-        assert_ne!(k1, k2);
     }
 }

@@ -108,15 +108,9 @@ impl Session {
         self.interp.engine()
     }
 
-    /// Route `query.plan.*` volatile counters into an obs recorder.
+    /// Route the `query.exec.*` volatile counters into an obs recorder.
     pub fn set_recorder(&mut self, recorder: allhands_obs::Recorder) {
         self.interp.set_recorder(recorder);
-    }
-
-    /// Plan-cache counters for this session (hits, misses, rules fired,
-    /// rows pruned, fallbacks).
-    pub fn plan_cache_stats(&self) -> crate::interp::PlanCacheStats {
-        self.interp.plan_cache_stats()
     }
 
     /// Execute one cell. Never panics: all failures land in

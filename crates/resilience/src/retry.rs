@@ -33,11 +33,6 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// A policy that never retries (single attempt, no backoff).
-    pub fn no_retries() -> Self {
-        RetryPolicy { max_attempts: 1, ..RetryPolicy::default() }
-    }
-
     /// The virtual backoff delay before retry attempt `attempt` (the first
     /// retry is attempt 2). Exponential in the attempt number, capped at
     /// `max_delay_ms`, scaled by deterministic jitter.

@@ -93,11 +93,6 @@ fn allhands_stem_helper(word: &str) -> String {
     crate::stem::porter_stem(word)
 }
 
-/// The English stopword list, exposed for language detection scoring.
-pub fn english_stopwords() -> &'static [&'static str] {
-    ENGLISH
-}
-
 /// Stopword lists per language, exposed for language detection scoring.
 pub fn stopwords_for(lang: crate::Language) -> &'static [&'static str] {
     use crate::Language::*;

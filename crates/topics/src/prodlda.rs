@@ -35,10 +35,7 @@ impl Default for ProdLdaConfig {
 pub struct NeuralTopicModel {
     /// Encoder mean weights: k × input_dim.
     enc_mu: Vec<Vec<f32>>,
-    /// Encoder log-variance weights: k × input_dim.
-    enc_lv: Vec<Vec<f32>>,
     mu_bias: Vec<f32>,
-    lv_bias: Vec<f32>,
     /// Decoder topic-word weights: k × vocab.
     beta: Vec<Vec<f32>>,
     k: usize,
@@ -181,7 +178,7 @@ pub fn fit_neural(
             }
         }
     }
-    NeuralTopicModel { enc_mu, enc_lv, mu_bias, lv_bias, beta, k }
+    NeuralTopicModel { enc_mu, mu_bias, beta, k }
 }
 
 impl NeuralTopicModel {
@@ -195,17 +192,6 @@ impl NeuralTopicModel {
         }
         softmax(&mut mu);
         mu
-    }
-
-    /// Encoder log-variance (diagnostics).
-    pub fn infer_logvar(&self, x: &[f32]) -> Vec<f32> {
-        let mut lv = self.lv_bias.clone();
-        for (lv_t, row) in lv.iter_mut().zip(&self.enc_lv).take(self.k) {
-            for (i, &xi) in x.iter().enumerate() {
-                *lv_t += row[i] * xi;
-            }
-        }
-        lv
     }
 
     /// Uniform output over the training features.

@@ -15,10 +15,9 @@
 //! retrieval to demonstrations from one dataset or label).
 //!
 //! Storage is columnar: vectors live in a contiguous cache-aligned arena
-//! (see [`arena`](crate::arena) module docs) with precomputed norms and
-//! scalar-quantized i8 codes. Large scans prune candidates with the cheap
-//! integer kernel and rescore exactly, so results — ids, order, and score
-//! bits — are always identical to a brute-force f32 scan.
+//! (see [`arena`](crate::arena) module docs) with precomputed norms, so
+//! results — ids, order, and score bits — are identical to a brute-force
+//! scan over the records.
 //!
 //! # Example
 //!
@@ -39,11 +38,8 @@
 mod arena;
 pub mod kmeans;
 
-pub use arena::{QUANT_MIN_DIMS, QUANT_MIN_ROWS};
 pub use kmeans::{kmeans, KMeansResult};
 
-#[cfg(test)]
-pub(crate) use arena::PAR_SCAN_THRESHOLD;
 use arena::RowPool;
 
 use allhands_embed::Embedding;
@@ -208,7 +204,6 @@ pub struct FlatIndex {
     pool: RowPool,
     by_id: HashMap<u64, usize>,
     rec: Recorder,
-    quant: bool,
 }
 
 impl FlatIndex {
@@ -220,20 +215,12 @@ impl FlatIndex {
             pool: RowPool::new(dims),
             by_id: HashMap::new(),
             rec: Recorder::disabled(),
-            quant: true,
         }
     }
 
     /// Attach a metrics recorder (counts searches and scanned records).
     pub fn set_recorder(&mut self, rec: Recorder) {
         self.rec = rec;
-    }
-
-    /// Enable/disable the quantized candidate-pruning scan (on by default).
-    /// Results are byte-identical either way — this is a speed toggle, used
-    /// by the tests to A/B the exact and quantized paths.
-    pub fn set_quantization(&mut self, enabled: bool) {
-        self.quant = enabled;
     }
 
     /// Iterate all records (owned; reconstructed from columnar storage).
@@ -258,7 +245,7 @@ impl VectorIndex for FlatIndex {
         self.rec.incr("vectordb.searches.flat");
         self.rec.add("vectordb.scanned.flat", self.pool.len() as u64);
         self.rec.observe("vectordb.pool_size", self.pool.len() as u64);
-        self.pool.scan_top_k(query, k, filter, self.quant, &self.rec)
+        self.pool.scan_top_k(query, k, filter)
     }
 
     fn len(&self) -> usize {
@@ -399,8 +386,6 @@ pub struct IvfIndex {
     retrain_staleness: Option<f32>,
     /// Completed k-means trainings (manual and automatic).
     trains: u64,
-    /// Quantized candidate pruning on the scan path (on by default).
-    quant: bool,
 }
 
 impl IvfIndex {
@@ -423,19 +408,12 @@ impl IvfIndex {
             mutations: 0,
             retrain_staleness: Some(Self::DEFAULT_RETRAIN_STALENESS),
             trains: 0,
-            quant: true,
         }
     }
 
     /// Attach a metrics recorder (counts searches and scanned records).
     pub fn set_recorder(&mut self, rec: Recorder) {
         self.rec = rec;
-    }
-
-    /// Enable/disable the quantized candidate-pruning scan (on by default).
-    /// Results are byte-identical either way.
-    pub fn set_quantization(&mut self, enabled: bool) {
-        self.quant = enabled;
     }
 
     /// Snapshot the index layout for serialization (see [`IvfState`]).
@@ -470,10 +448,10 @@ impl IvfIndex {
 
     /// Rebuild an index from its layout, taking each record's vector from
     /// `vector_of(id)`. Records are pushed in their stored order, so slot
-    /// offsets, norms and quantized codes come out identical to the index
-    /// that wrote the layout when the vectors are. An id without a vector,
-    /// a vector of the wrong dimensionality, or an id listed twice is an
-    /// error. The recorder starts disabled — reattach one with
+    /// offsets and norms come out identical to the index that wrote the
+    /// layout when the vectors are. An id without a vector, a vector of the
+    /// wrong dimensionality, or an id listed twice is an error. The
+    /// recorder starts disabled — reattach one with
     /// [`set_recorder`](Self::set_recorder).
     pub fn from_state<'v>(
         state: IvfState,
@@ -524,7 +502,6 @@ impl IvfIndex {
             mutations: state.mutations as usize,
             retrain_staleness: state.retrain_staleness,
             trains: state.trains,
-            quant: true,
         })
     }
 
@@ -700,7 +677,7 @@ impl VectorIndex for IvfIndex {
         // concatenation under the `(score desc, id asc)` total order.
         let mut partials = Vec::new();
         for p in probe {
-            partials.extend(self.partitions[p].scan_top_k(query, k, filter, self.quant, &self.rec));
+            partials.extend(self.partitions[p].scan_top_k(query, k, filter));
         }
         top_k(partials, k)
     }
@@ -830,8 +807,8 @@ mod tests {
 
     /// A layout restored over the same vectors is the same index: the
     /// serialized layout holds no vector, every slot comes back in place,
-    /// searches (quantized scan included) match, and further mutations —
-    /// an auto-retrain among them — keep matching.
+    /// searches match, and further mutations — an auto-retrain among them —
+    /// keep matching.
     #[test]
     fn ivf_state_roundtrip_preserves_structure_and_behavior() {
         use rand::Rng;
@@ -860,10 +837,6 @@ mod tests {
         idx.insert(Record::new(7, upsert.clone()));
         vectors.insert(7, upsert);
         assert!(idx.remove(3));
-        assert!(
-            idx.partitions.iter().all(|p| p.len() >= QUANT_MIN_ROWS),
-            "partitions too small for the quantized scan"
-        );
 
         let state = idx.to_state();
         // JSON round trip: what a journal checkpoint actually stores.
@@ -885,17 +858,13 @@ mod tests {
                 assert_eq!(bits(a.row(slot)), bits(b.row(slot)), "partition {p} slot {slot}");
             }
         }
-        // Identical structure ⇒ identical search results, on the quantized
-        // path and the exact one, filtered or not…
+        // Identical structure ⇒ identical search results, filtered or not…
         let filter = Filter::none().must("label", "odd");
         let queries = [rand_vec(&mut rng), rand_vec(&mut rng), Embedding::new(vec![0.25; dims])];
-        let mut exact = restored.clone();
-        exact.set_quantization(false);
         for (qi, q) in queries.iter().enumerate() {
             for k in [1usize, 10, 50] {
                 let ctx = format!("q{qi} k{k}");
                 assert_same_hits(&idx.search(q, k), &restored.search(q, k), &ctx);
-                assert_same_hits(&idx.search(q, k), &exact.search(q, k), &ctx);
                 assert_same_hits(
                     &idx.search_filtered(q, k, &filter),
                     &restored.search_filtered(q, k, &filter),
@@ -1029,14 +998,15 @@ mod tests {
         }
     }
 
-    /// A pool big enough to trip the parallel shard scan must return
-    /// byte-identical hits at every thread count, for both index types.
+    /// Searches return byte-identical hits at every thread count, for both
+    /// index types. IVF training runs k-means on the worker pool, so each
+    /// thread count trains its own copy of the index.
     #[test]
     fn parallel_scan_identical_across_thread_counts() {
         use rand::Rng;
         use rand_chacha::rand_core::SeedableRng;
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(5);
-        let n = PAR_SCAN_THRESHOLD + 1500;
+        let n = 5_000;
         let mut flat = FlatIndex::new(4);
         let mut ivf = IvfIndex::new(4, 2);
         for i in 0..n as u64 {
@@ -1045,29 +1015,27 @@ mod tests {
             flat.insert(Record::new(i, v.clone()).with_meta("label", label));
             ivf.insert(Record::new(i, v).with_meta("label", label));
         }
-        ivf.train(8);
         let query = Embedding::new(vec![0.3, -0.2, 0.9, 0.1]);
         let filter = Filter::none().must("label", "bug");
-        let serial = allhands_par::with_threads(1, || {
-            (
-                flat.search(&query, 12),
-                flat.search_filtered(&query, 12, &filter),
-                ivf.search(&query, 12),
-            )
-        });
-        for threads in [2usize, 4, 8] {
-            let parallel = allhands_par::with_threads(threads, || {
+        let run = |threads: usize| {
+            allhands_par::with_threads(threads, || {
+                let mut ivf = ivf.clone();
+                ivf.train(8);
                 (
                     flat.search(&query, 12),
                     flat.search_filtered(&query, 12, &filter),
                     ivf.search(&query, 12),
+                    ivf.to_state(),
                 )
-            });
-            assert_eq!(serial, parallel, "threads={threads}");
+            })
+        };
+        let serial = run(1);
+        for threads in [2usize, 4, 8] {
+            assert_eq!(serial, run(threads), "threads={threads}");
         }
-        // And the parallel shard path agrees with a plain full sort over
-        // the pre-refactor representation (owned records, per-row cosine):
-        // the golden before/after-arena equality check.
+        // And the scan agrees with a plain full sort over the pre-refactor
+        // representation (owned records, per-row cosine): the golden
+        // before/after-arena equality check.
         let oracle = top_k_by_sort(
             flat.iter()
                 .map(|r| SearchResult { id: r.id, score: query.cosine(&r.vector) })
@@ -1075,73 +1043,6 @@ mod tests {
             12,
         );
         assert_eq!(serial.0, oracle);
-    }
-
-    /// The quantized candidate-pruning scan must be invisible: hits are
-    /// byte-identical to the exact path — across ties, NaN rows, filters,
-    /// serial and sharded scans, for both index types.
-    #[test]
-    fn quantized_scan_matches_exact_scan_bitwise() {
-        use rand::Rng;
-        use rand_chacha::rand_core::SeedableRng;
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(41);
-        let dims = 16;
-        let n = PAR_SCAN_THRESHOLD + 900; // sharded scan, quant engaged
-        let mut flat = FlatIndex::new(dims);
-        let mut ivf = IvfIndex::new(dims, 3);
-        for i in 0..n as u64 {
-            let v = Embedding::new((0..dims).map(|_| rng.gen_range(-2.0f32..2.0)).collect());
-            let label = if i % 4 == 0 { "bug" } else { "other" };
-            flat.insert(Record::new(i, v.clone()).with_meta("label", label));
-            ivf.insert(Record::new(i, v).with_meta("label", label));
-        }
-        // Exact ties and degenerate rows ride along.
-        for id in [90_000u64, 90_001, 90_002] {
-            let v = Embedding::new(vec![0.25; dims]);
-            flat.insert(Record::new(id, v.clone()));
-            ivf.insert(Record::new(id, v));
-        }
-        let mut nan_vals = vec![0.1f32; dims];
-        nan_vals[3] = f32::NAN;
-        flat.insert(Record::new(91_000, Embedding::new(nan_vals.clone())));
-        ivf.insert(Record::new(91_000, Embedding::new(nan_vals)));
-        flat.insert(Record::new(92_000, Embedding::zeros(dims)));
-        ivf.insert(Record::new(92_000, Embedding::zeros(dims)));
-        ivf.train(6);
-        let mut flat_exact = flat.clone();
-        flat_exact.set_quantization(false);
-        let mut ivf_exact = ivf.clone();
-        ivf_exact.set_quantization(false);
-        let filter = Filter::none().must("label", "bug");
-        let queries = [
-            Embedding::new((0..dims).map(|_| rng.gen_range(-2.0f32..2.0)).collect()),
-            Embedding::new(vec![0.25; dims]), // exactly a tied row
-            Embedding::zeros(dims),           // degenerate query: quant disabled
-            Embedding::new((0..dims).map(|d| if d == 0 { 1000.0 } else { 1e-5 }).collect()),
-        ];
-        for (qi, q) in queries.iter().enumerate() {
-            for k in [1usize, 7, 40] {
-                for threads in [1usize, 4] {
-                    allhands_par::with_threads(threads, || {
-                        assert_same_hits(
-                            &flat_exact.search(q, k),
-                            &flat.search(q, k),
-                            &format!("flat q{qi} k{k} t{threads}"),
-                        );
-                        assert_same_hits(
-                            &flat_exact.search_filtered(q, k, &filter),
-                            &flat.search_filtered(q, k, &filter),
-                            &format!("flat+filter q{qi} k{k} t{threads}"),
-                        );
-                        assert_same_hits(
-                            &ivf_exact.search(q, k),
-                            &ivf.search(q, k),
-                            &format!("ivf q{qi} k{k} t{threads}"),
-                        );
-                    });
-                }
-            }
-        }
     }
 
     /// Regression: a record exactly equidistant from two centroids must be
@@ -1215,9 +1116,7 @@ mod tests {
     /// `k` can arrive straight from a client: a `k` far beyond the row
     /// count returns every row, ranked as an exact-`k` search ranks them,
     /// instead of attempting a `k`-sized allocation (which aborts the
-    /// process) or overflowing at `usize::MAX`. 1,100 rows of 8 dims put
-    /// the flat scan on its quantized path and the IVF partitions on the
-    /// exact one.
+    /// process) or overflowing at `usize::MAX`.
     #[test]
     fn huge_k_returns_every_row() {
         let n = 1_100u64;

@@ -1,15 +1,12 @@
-//! Property test for the quantized-scan contract: candidate pruning with
-//! i8 codes plus exact f32 rescore must return *exactly* the hits of the
-//! pure-f32 scan — same ids, same order, same score bits — across random
-//! vectors, exact ties, filters, and every k. The exact path itself is
-//! pinned against a pre-refactor reference scan (owned records, per-row
-//! `cosine`, full sort), so this file is also the golden before/after
-//! equality check for the arena refactor.
+//! Property test for the arena scan: the columnar `RowPool` scan behind
+//! both index types must return *exactly* the hits of the pre-arena
+//! reference scan (owned records, per-row `cosine`, full sort) — same ids,
+//! same order, same score bits — across random vectors, exact ties,
+//! filters, and every k. This file is the golden before/after equality
+//! check for the arena refactor.
 
 use allhands_embed::Embedding;
-use allhands_vectordb::{
-    Filter, FlatIndex, IvfIndex, Record, SearchResult, VectorIndex, QUANT_MIN_ROWS,
-};
+use allhands_vectordb::{Filter, FlatIndex, IvfIndex, Record, SearchResult, VectorIndex};
 use proptest::prelude::*;
 use rand::Rng;
 use rand_chacha::rand_core::SeedableRng;
@@ -50,15 +47,15 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     #[test]
-    fn quantized_scan_equals_f32_scan(
+    fn arena_scan_equals_reference_scan(
         seed in 0u64..u64::MAX,
-        dims in 8usize..25,
+        n in 1usize..600,
+        dims in 1usize..25,
         k in 1usize..40,
         ties in 0usize..6,
         spread in 0.5f32..16.0,
     ) {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let n = QUANT_MIN_ROWS + 40; // large enough to engage quantization
         let mut records: Vec<Record> = Vec::with_capacity(n + ties);
         for i in 0..n as u64 {
             let v = Embedding::new((0..dims).map(|_| rng.gen_range(-spread..spread)).collect());
@@ -74,20 +71,15 @@ proptest! {
             records.push(dup);
         }
 
-        let mut quant = FlatIndex::new(dims);
-        let mut exact = FlatIndex::new(dims);
-        exact.set_quantization(false);
-        let mut ivf_quant = IvfIndex::new(dims, 4);
-        let mut ivf_exact = IvfIndex::new(dims, 4);
-        ivf_exact.set_quantization(false);
+        let mut flat = FlatIndex::new(dims);
+        // nprobe covers every partition, so the IVF search is exact too and
+        // checks the per-partition top-k merge.
+        let mut ivf = IvfIndex::new(dims, 4);
         for r in &records {
-            quant.insert(r.clone());
-            exact.insert(r.clone());
-            ivf_quant.insert(r.clone());
-            ivf_exact.insert(r.clone());
+            flat.insert(r.clone());
+            ivf.insert(r.clone());
         }
-        ivf_quant.train(4);
-        ivf_exact.train(4);
+        ivf.train(4);
 
         let queries = [
             Embedding::new((0..dims).map(|_| rng.gen_range(-spread..spread)).collect()),
@@ -97,17 +89,10 @@ proptest! {
         let filters = [Filter::none(), Filter::none().must("label", "bug")];
         for (qi, q) in queries.iter().enumerate() {
             for (fi, f) in filters.iter().enumerate() {
-                let ctx = format!("seed={seed} dims={dims} k={k} q{qi} f{fi}");
+                let ctx = format!("seed={seed} n={n} dims={dims} k={k} q{qi} f{fi}");
                 let reference = reference_scan(&records, q, k, f);
-                let got_exact = exact.search_filtered(q, k, f);
-                let got_quant = quant.search_filtered(q, k, f);
-                assert_same_hits(&reference, &got_exact, &format!("{ctx} exact-vs-reference"));
-                assert_same_hits(&got_exact, &got_quant, &format!("{ctx} quant-vs-exact"));
-                // IVF probes the same partitions either way, so quantization
-                // must be invisible there too.
-                let ivf_e = ivf_exact.search_filtered(q, k, f);
-                let ivf_q = ivf_quant.search_filtered(q, k, f);
-                assert_same_hits(&ivf_e, &ivf_q, &format!("{ctx} ivf quant-vs-exact"));
+                assert_same_hits(&reference, &flat.search_filtered(q, k, f), &format!("{ctx} flat"));
+                assert_same_hits(&reference, &ivf.search_filtered(q, k, f), &format!("{ctx} ivf"));
             }
         }
     }

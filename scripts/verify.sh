@@ -3,9 +3,10 @@
 # root integration tests plus every member crate's unit and integration
 # tests, the allhands-perf benchmark's smoke test among them), and a
 # warning-free clippy pass across the workspace — all targets, so tests and
-# examples are linted too. The resilience and agent crates additionally deny
-# clippy::unwrap_used via crate-level attributes, so the single clippy
-# invocation enforces that too.
+# examples are linted too. The resilience, agent and journal crates
+# additionally deny clippy::unwrap_used via crate-level attributes, and the
+# journal crate warns on missing docs, so the single clippy invocation
+# enforces both too.
 #
 # Optional flags (combinable, order-free) rerun one suite on its own for a
 # focused signal after touching its layers; each suite also runs in the
@@ -34,7 +35,9 @@
 #   --query-smoke   the engine-differential suite (90 reference programs and
 #                   a numeric chain over a generated frame, join keys
 #                   straddling 2^53 and ±0.0, proptest random chains — both
-#                   engines byte-identical — and warm plan-cache counts).
+#                   engines byte-identical) and the golden-answer suite (the
+#                   paper conversation's answers of four corpora equal the
+#                   fingerprints pinned from an earlier build).
 #   --serve-smoke   the serving/replication suite (kill-at-every-entry
 #                   reconnect sweep, lag reporting, replica write refusal)
 #                   and the apply-path convergence suite, then the
@@ -114,8 +117,8 @@ if [[ "$iofault_smoke" == 1 ]]; then
 fi
 
 if [[ "$query_smoke" == 1 ]]; then
-  echo "==> query smoke (engine differential + plan-cache hit counts)"
-  cargo test -q --test query_differential
+  echo "==> query smoke (engine differential + golden answers)"
+  cargo test -q --test query_differential --test golden_answers
 fi
 
 if [[ "$serve_smoke" == 1 ]]; then

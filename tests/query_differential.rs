@@ -7,11 +7,12 @@
 //! program of the 90-question benchmark (plus one numeric chain over a
 //! generated frame), on randomized frames × randomized method
 //! chains (with join keys straddling 2^53 and ±0.0, the historical
-//! `join_key` collision cases), and on targeted plan-cache/optimizer
-//! behavior.
+//! `join_key` collision cases), and on targeted optimizer, fallback and
+//! step-budget cases.
 
 use allhands::dataframe::{Column, DataFrame};
 use allhands::datasets::{dataset_frame, generate, generate_n, questions_for, DatasetKind};
+use allhands::obs::Recorder;
 use allhands::query::{QueryEngine, Session, SessionLimits};
 use proptest::prelude::*;
 
@@ -21,7 +22,7 @@ fn run_engine(
     frames: &[(&str, &DataFrame)],
     src: &str,
     engine: QueryEngine,
-) -> (Vec<String>, Vec<String>, Option<String>, Session) {
+) -> (Vec<String>, Vec<String>, Option<String>) {
     let mut session = Session::new(SessionLimits::default());
     session.set_engine(engine);
     for (name, frame) in frames {
@@ -33,13 +34,13 @@ fn run_engine(
         .iter()
         .map(|v| serde_json::to_string(v).expect("serialize shown value"))
         .collect();
-    (shown, result.logs, result.error, session)
+    (shown, result.logs, result.error)
 }
 
 /// Assert both engines produce identical transcripts for `src`.
 fn assert_identical(frames: &[(&str, &DataFrame)], src: &str) {
-    let (vs, vl, ve, _) = run_engine(frames, src, QueryEngine::Vectorized);
-    let (rs, rl, re, _) = run_engine(frames, src, QueryEngine::RowWise);
+    let (vs, vl, ve) = run_engine(frames, src, QueryEngine::Vectorized);
+    let (rs, rl, re) = run_engine(frames, src, QueryEngine::RowWise);
     assert_eq!(ve, re, "error divergence on:\n{src}");
     assert_eq!(vl, rl, "log divergence on:\n{src}");
     assert_eq!(vs, rs, "shown-value divergence on:\n{src}");
@@ -160,7 +161,7 @@ fn fallback_cases_are_identical() {
         // Division by zero inside a filter: vectorized attempt fails, the
         // row-wise fallback supplies the authoritative error.
         r#"show(feedback.filter(1 / f > 0))"#,
-        // derive + filter whose pushdown would be illegal (and is refused).
+        // derive + filter: the derive errors on a row the filter would drop.
         r#"show(feedback.derive("d", 1 / (v + 1)).filter(v != 0))"#,
         // Unknown column errors identically.
         r#"show(feedback.filter(nope > 1))"#,
@@ -196,55 +197,38 @@ fn step_budget_exhaustion_identical_across_engines() {
     }
 }
 
-#[test]
-fn plan_cache_warms_on_repeated_shapes() {
-    let left = tricky_left();
-    let src = r#"show(feedback.filter(v > 0).group_by("k", count()).sort("count", "desc").head(2))"#;
+/// Execute `src` `times` times on one vectorized session over `frame` and
+/// return its `query.exec.{vectorized,fallback}` counts.
+fn exec_counts(frame: &DataFrame, src: &str, times: usize) -> (u64, u64) {
+    let rec = Recorder::new();
     let mut session = Session::new(SessionLimits::default());
     session.set_engine(QueryEngine::Vectorized);
-    session.bind_frame("feedback", left);
-    for _ in 0..3 {
+    session.set_recorder(rec.clone());
+    session.bind_frame("feedback", frame.clone());
+    for _ in 0..times {
         let r = session.execute(src);
         assert!(r.error.is_none(), "{:?}", r.error);
     }
-    let stats = session.plan_cache_stats();
-    assert_eq!(stats.misses, 1, "{stats:?}");
-    assert_eq!(stats.hits, 2, "{stats:?}");
-    assert_eq!(stats.fallbacks, 0, "{stats:?}");
-    // A different shape misses again.
-    let r = session.execute(r#"show(feedback.filter(v > 1).head(1))"#);
-    assert!(r.error.is_none(), "{:?}", r.error);
-    assert_eq!(session.plan_cache_stats().misses, 2);
-
-    // The numeric chain over a generated frame: one lowering, then every
-    // repeat hits and none falls back to row-wise.
-    let repeats = 5;
-    let mut session = Session::new(SessionLimits::default());
-    session.set_engine(QueryEngine::Vectorized);
-    session.bind_frame("feedback", numeric_chain_frame());
-    for _ in 0..repeats {
-        let r = session.execute(NUMERIC_CHAIN);
-        assert!(r.error.is_none(), "{:?}", r.error);
-    }
-    let stats = session.plan_cache_stats();
-    assert_eq!(stats.misses, 1, "{stats:?}");
-    assert_eq!(stats.hits, repeats - 1, "{stats:?}");
-    assert_eq!(stats.fallbacks, 0, "{stats:?}");
+    let report = rec.report();
+    let count = |key: &str| report.volatile_counters.get(key).copied().unwrap_or(0);
+    (count("query.exec.vectorized"), count("query.exec.fallback"))
 }
 
 #[test]
-fn pushdown_fires_and_prunes_rows() {
+fn repeated_chains_run_vectorized_without_fallback() {
+    let left = tricky_left();
+    let src = r#"show(feedback.filter(v > 0).group_by("k", count()).sort("count", "desc").head(2))"#;
+    assert_eq!(exec_counts(&left, src, 3), (3, 0));
+    assert_eq!(exec_counts(&left, r#"show(feedback.filter(v > 1).head(1))"#, 1), (1, 0));
+    assert_eq!(exec_counts(&numeric_chain_frame(), NUMERIC_CHAIN, 5), (5, 0));
+}
+
+#[test]
+fn sort_then_filter_identical_across_engines() {
     let left = tricky_left();
     let src = r#"show(feedback.sort("f").filter(v == 7))"#;
-    let (vs, _, ve, session) =
-        run_engine(&[("feedback", &left)], src, QueryEngine::Vectorized);
-    let (rs, _, re, _) = run_engine(&[("feedback", &left)], src, QueryEngine::RowWise);
-    assert_eq!(ve, re);
-    assert_eq!(vs, rs);
-    let stats = session.plan_cache_stats();
-    assert!(stats.rules_fired >= 1, "{stats:?}");
-    assert!(stats.rows_pruned >= 1, "{stats:?}");
-    assert_eq!(stats.fallbacks, 0, "{stats:?}");
+    assert_identical(&[("feedback", &left)], src);
+    assert_eq!(exec_counts(&left, src, 1), (1, 0));
 }
 
 #[test]
@@ -339,8 +323,8 @@ proptest! {
         }
         let src = format!("show({chain})");
         let frames: &[(&str, &DataFrame)] = &[("feedback", &left), ("right", &right)];
-        let (vs, vl, ve, _) = run_engine(frames, &src, QueryEngine::Vectorized);
-        let (rs, rl, re, _) = run_engine(frames, &src, QueryEngine::RowWise);
+        let (vs, vl, ve) = run_engine(frames, &src, QueryEngine::Vectorized);
+        let (rs, rl, re) = run_engine(frames, &src, QueryEngine::RowWise);
         prop_assert_eq!(ve, re, "error divergence on:\n{}", src);
         prop_assert_eq!(vl, rl, "log divergence on:\n{}", src);
         prop_assert_eq!(vs, rs, "shown divergence on:\n{}", src);
