@@ -1,7 +1,7 @@
 //! Deterministic data-parallel execution for the AllHands pipeline.
 //!
 //! The pipeline's hot paths (batch classification, pairwise distance
-//! matrices, vector-index scans) are embarrassingly parallel over *pure*
+//! matrices, k-means assignment) are embarrassingly parallel over *pure*
 //! per-item functions, but AllHands guarantees bit-exact reproducibility at
 //! temperature 0 — so parallelism must never change observable output.
 //! This crate provides exactly that contract:
