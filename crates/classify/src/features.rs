@@ -36,11 +36,6 @@ impl SparseVector {
         &self.pairs
     }
 
-    /// Number of non-zero entries.
-    pub fn nnz(&self) -> usize {
-        self.pairs.len()
-    }
-
     /// Dot product with a dense weight row.
     pub fn dot_dense(&self, dense: &[f32]) -> f32 {
         self.pairs
@@ -134,7 +129,7 @@ mod tests {
     #[test]
     fn sparse_vector_dedups_and_normalizes() {
         let v = SparseVector::from_raw(vec![(3, 1.0), (1, 2.0), (3, 1.0)]);
-        assert_eq!(v.nnz(), 2);
+        assert_eq!(v.pairs().len(), 2);
         let norm: f32 = v.pairs().iter().map(|(_, x)| x * x).sum::<f32>().sqrt();
         assert!((norm - 1.0).abs() < 1e-5);
         assert!(v.pairs()[0].0 < v.pairs()[1].0);

@@ -54,7 +54,7 @@ pub use allhands_resilience::{
 };
 
 use allhands_classify::LabeledExample;
-use allhands_dataframe::{Column, DataFrame};
+use allhands_dataframe::{Column, ColumnData, DataFrame};
 use allhands_embed::Embedding;
 use allhands_llm::{ModelSpec, ModelTier, SimLlm};
 use allhands_vectordb::{IvfIndex, IvfState, Record, VectorIndex};
@@ -305,8 +305,6 @@ pub enum RecorderMode {
     /// Record into a fresh [`Recorder`], retrievable afterwards via
     /// [`AllHands::recorder`] / [`AllHands::run_report`].
     Enabled,
-    /// Record into a caller-provided handle (e.g. one shared across runs).
-    Custom(Recorder),
 }
 
 impl RecorderMode {
@@ -314,7 +312,6 @@ impl RecorderMode {
         match self {
             RecorderMode::Disabled => Recorder::disabled(),
             RecorderMode::Enabled => Recorder::new(),
-            RecorderMode::Custom(rec) => rec.clone(),
         }
     }
 }
@@ -330,31 +327,30 @@ pub enum RecoverPoint {
     Latest,
 }
 
-/// Typed per-run options, grouped so the facade entry point stays one
-/// method as options accrete.
+/// The per-run options the [`AllHandsBuilder`] setters fill in.
 #[derive(Clone, Default)]
-pub struct AnalyzeOptions {
+struct AnalyzeOptions {
     /// Crash-safe journaling (`None` = unjournaled).
-    pub journal: Option<JournalMode>,
+    journal: Option<JournalMode>,
     /// Metrics/tracing recording (disabled by default).
-    pub recorder: RecorderMode,
+    recorder: RecorderMode,
     /// Point-in-time recovery target (`None` = run / resume normally).
     /// Requires a journal.
-    pub recover: Option<RecoverPoint>,
+    recover: Option<RecoverPoint>,
     /// Storage backend for the journal (`None` = the real filesystem).
     /// Lets tests thread a [`FaultVfs`] under every journal I/O.
-    pub vfs: Option<Arc<dyn Vfs>>,
+    vfs: Option<Arc<dyn Vfs>>,
     /// Follower bootstrap: install this leader-exported bundle into the
     /// (required, empty) journal before running. Requires a journal mode;
     /// recovery defaults to [`RecoverPoint::Latest`] so the session comes
     /// up holding the leader's state.
-    pub bootstrap: Option<BootstrapBundle>,
+    bootstrap: Option<BootstrapBundle>,
     /// Read-replica mode: the session serves `ask` / `search_similar` but
     /// refuses `ingest`/`retract` and never journals its own answers — the
     /// only writes to its journal are replicated leader lines applied via
     /// [`AllHands::apply_tail`], keeping the WAL byte-identical to the
     /// leader's. Requires a journal mode.
-    pub replica: bool,
+    replica: bool,
 }
 
 impl std::fmt::Debug for AnalyzeOptions {
@@ -432,12 +428,6 @@ impl AllHandsBuilder {
     /// replica journal. Requires a journal mode.
     pub fn replica(mut self) -> Self {
         self.options.replica = true;
-        self
-    }
-
-    /// Replace the full option set at once.
-    pub fn options(mut self, options: AnalyzeOptions) -> Self {
-        self.options = options;
         self
     }
 
@@ -672,7 +662,9 @@ pub struct IngestReport {
     pub retrained: bool,
     /// Whether the batch replayed from the journal.
     pub replayed: bool,
-    /// The full structured frame after this batch.
+    /// The full structured frame after this batch. It shares its column
+    /// storage with the session's row store and the agent's `feedback`
+    /// binding, so holding it copies no rows.
     pub frame: DataFrame,
 }
 
@@ -704,31 +696,28 @@ struct IngestState {
     /// replayed (never fit one); refit lazily at the first live batch.
     demos: Option<Arc<DemoIndex>>,
     topic_list: Vec<String>,
-    /// Cached row embeddings aligned with `texts`, backfilled on demand;
-    /// feeds both topic-centroid assignment and the document index.
+    /// The session's rows: the only copy, shared by reference count with
+    /// the agent's `feedback` binding and every [`IngestReport::frame`].
+    frame: DataFrame,
+    /// Cached row embeddings aligned with the frame's rows, backfilled on
+    /// demand; feeds both topic-centroid assignment and the document index.
     row_embeds: Vec<Embedding>,
     /// Incremental document index over all rows, built at first use.
     doc_index: Option<IvfIndex>,
     /// Row ids below the assignment threshold, awaiting the next flush.
     pending: Vec<usize>,
-    texts: Vec<String>,
-    row_labels: Vec<String>,
-    sentiments: Vec<f64>,
-    doc_topics: Vec<Vec<String>>,
     /// Batches ingested so far — the ordinal half of each journal key.
     batches: usize,
 }
 
 impl IngestState {
-    /// Retained state over already-structured rows. Sentiments are
-    /// recomputed from the texts; the demonstration pool, row-embedding
-    /// cache, document index and pending pool start empty.
+    /// Retained state over already-structured rows. The demonstration
+    /// pool, row-embedding cache, document index and pending pool start
+    /// empty.
     fn new(
         llm: SimLlm,
         labeled_sample: &[LabeledExample],
-        texts: Vec<String>,
-        row_labels: Vec<String>,
-        doc_topics: Vec<Vec<String>>,
+        frame: DataFrame,
         topic_list: Vec<String>,
     ) -> Self {
         IngestState {
@@ -737,35 +726,46 @@ impl IngestState {
             labels: distinct_labels(labeled_sample),
             demos: None,
             topic_list,
+            frame,
             row_embeds: Vec::new(),
             doc_index: None,
             pending: Vec::new(),
-            sentiments: texts.iter().map(|t| estimate_sentiment(t)).collect(),
-            texts,
-            row_labels,
-            doc_topics,
             batches: 0,
         }
     }
 
-    /// The structured feedback frame: one row per text. The one-shot
-    /// pipeline, checkpoint restore and every applied batch build it here,
-    /// so all produce byte-identical tables for the same rows.
-    fn frame(&self) -> Result<DataFrame, AllHandsError> {
-        let texts = &self.texts;
-        let frame = DataFrame::new(vec![
-            Column::from_i64s("id", &(0..texts.len() as i64).collect::<Vec<_>>()),
-            Column::from_strings("text", texts.to_vec()),
-            Column::from_strings("label", self.row_labels.to_vec()),
-            Column::from_f64s("sentiment", &self.sentiments),
-            Column::from_str_lists("topics", self.doc_topics.to_vec()),
-            Column::from_i64s(
-                "text_len",
-                &texts.iter().map(|t| t.chars().count() as i64).collect::<Vec<_>>(),
-            ),
-        ])?;
-        Ok(frame)
+    /// The cells of the frame's `text` or `label` column.
+    fn strs(&self, column: &str) -> &[Option<String>] {
+        self.frame.column(column).and_then(Column::strs).expect("feedback_rows builds it")
     }
+
+    /// The cells of the frame's `topics` column.
+    fn topics(&self) -> &[Option<Vec<String>>] {
+        self.frame.column("topics").and_then(Column::str_lists).expect("feedback_rows builds it")
+    }
+}
+
+/// The structured feedback frame: one row per text, ids counted from
+/// `first_id`. The one-shot pipeline, checkpoint restore and every applied
+/// batch build their rows here, so all produce byte-identical tables for
+/// the same rows.
+fn feedback_rows(
+    first_id: usize,
+    texts: Vec<String>,
+    labels: Vec<String>,
+    topics: Vec<Vec<String>>,
+) -> Result<DataFrame, AllHandsError> {
+    let ids: Vec<i64> = (first_id..first_id + texts.len()).map(|i| i as i64).collect();
+    let sentiments: Vec<f64> = texts.iter().map(|t| estimate_sentiment(t)).collect();
+    let lens: Vec<i64> = texts.iter().map(|t| t.chars().count() as i64).collect();
+    Ok(DataFrame::new(vec![
+        Column::from_i64s("id", &ids),
+        Column::from_strings("text", texts),
+        Column::from_strings("label", labels),
+        Column::from_f64s("sentiment", &sentiments),
+        Column::from_str_lists("topics", topics),
+        Column::from_i64s("text_len", &lens),
+    ])?)
 }
 
 /// Automatic checkpoint cadence and retention, driven from
@@ -949,16 +949,9 @@ impl Run<'_> {
             }
         };
 
-        let mut ingest = IngestState::new(
-            llm,
-            labeled_sample,
-            texts.to_vec(),
-            predicted,
-            result.doc_topics,
-            result.topic_list,
-        );
+        let frame = feedback_rows(0, texts.to_vec(), predicted, result.doc_topics)?;
+        let mut ingest = IngestState::new(llm, labeled_sample, frame.clone(), result.topic_list);
         ingest.demos = demo_index;
-        let frame = ingest.frame()?;
         drop(pipeline_span);
         let ah =
             AllHands::assemble(tier, config, frame.clone(), resilience, journal, recorder, Some(ingest));
@@ -1108,17 +1101,11 @@ impl Run<'_> {
         marker: u64,
     ) -> Result<(AllHands, DataFrame), AllHandsError> {
         let Run { tier, labeled_sample, config, recorder, .. } = self;
-        if state.row_labels.len() != state.texts.len()
-            || state.doc_topics.len() != state.texts.len()
-        {
-            return Err(AllHandsError::Pipeline(format!(
-                "recover: checkpoint {marker} is internally inconsistent \
-                 ({} text(s), {} label(s), {} topic row(s))",
-                state.texts.len(),
-                state.row_labels.len(),
-                state.doc_topics.len()
-            )));
-        }
+        let frame = feedback_rows(0, state.texts, state.row_labels, state.doc_topics).map_err(|e| {
+            AllHandsError::Pipeline(format!(
+                "recover: checkpoint {marker} is internally inconsistent ({e})"
+            ))
+        })?;
         recorder.set_meta("tier", tier.name());
         recorder.set_meta("journaled", "true");
         recorder.set_meta("recovered_from_checkpoint", &marker.to_string());
@@ -1128,20 +1115,12 @@ impl Run<'_> {
         let resilience = resilience_ctx(&config, &recorder);
         resilience.restore(&state.resilience);
         journal.set_crash_hook(resilience.crash_hook());
-        let mut ingest = IngestState::new(
-            llm,
-            labeled_sample,
-            state.texts,
-            state.row_labels,
-            state.doc_topics,
-            state.topic_list,
-        );
+        let mut ingest = IngestState::new(llm, labeled_sample, frame.clone(), state.topic_list);
         if let Some(layout) = state.doc_index {
             restore_doc_index(&mut ingest, layout, &recorder, marker)?;
         }
         ingest.pending = state.pending.iter().map(|&r| r as usize).collect();
         ingest.batches = state.batches as usize;
-        let frame = ingest.frame()?;
         let mut ah = AllHands::assemble(
             tier,
             config,
@@ -1372,7 +1351,7 @@ impl AllHands {
     }
 
     /// The observability recorder for this run (disabled unless the run was
-    /// built with [`RecorderMode::Enabled`] or a custom recorder).
+    /// built with [`RecorderMode::Enabled`]).
     pub fn recorder(&self) -> &Recorder {
         &self.recorder
     }
@@ -1536,15 +1515,16 @@ impl AllHands {
     /// point-in-time recovery, checkpoint restore and replication all
     /// apply their deltas here, so every path lands on the same state.
     ///
-    /// A batch appends its rows, labels, sentiments and topics, applies the
-    /// flush's topic rewrites, installs the topic list and pending pool,
-    /// feeds the document index the same insert sequence the live run
-    /// performed (so auto-retrains fire at the same points and the index
-    /// structure matches), rebinds the agent's frame and advances the batch
-    /// ordinal. An answer joins the history a checkpoint carries (on
-    /// journaled sessions) and advances the question ordinal; a `replayed`
-    /// one also re-executes its recorded code in the agent, since only a
-    /// live answer already ran there.
+    /// A batch appends its rows to the frame, replaces the `topics` column
+    /// when a flush rewrote earlier rows, installs the topic list and
+    /// pending pool, feeds the document index the same insert sequence the
+    /// live run performed (so auto-retrains fire at the same points and the
+    /// index structure matches), rebinds the agent's frame to the new one
+    /// (a shared handle, not a copy) and advances the batch ordinal. An
+    /// answer joins the history a checkpoint carries (on journaled
+    /// sessions) and advances the question ordinal; a `replayed` one also
+    /// re-executes its recorded code in the agent, since only a live answer
+    /// already ran there.
     ///
     /// Callers that replay restore the delta's recorded resilience state
     /// first; the live paths must not, as their context already holds the
@@ -1576,7 +1556,7 @@ impl AllHands {
             )));
         }
         let new_rows = snap.texts.len();
-        let start_row = ing.texts.len();
+        let start_row = ing.frame.n_rows();
         if snap.predicted.len() != new_rows || snap.topics.len() != new_rows {
             return Err(AllHandsError::Pipeline(format!(
                 "journal: ingest snapshot for batch {batch} holds {} label(s) / {} topic row(s) \
@@ -1591,13 +1571,16 @@ impl AllHands {
                 rw.row
             )));
         }
-        ing.sentiments.extend(snap.texts.iter().map(|t| estimate_sentiment(t)));
-        ing.texts.extend(snap.texts);
-        ing.row_labels.extend(snap.predicted);
-        ing.doc_topics.extend(snap.topics);
-        for rw in snap.rewrites {
-            ing.doc_topics[rw.row as usize] = rw.topics;
+        let rows = feedback_rows(start_row, snap.texts, snap.predicted, snap.topics)?;
+        let mut frame = ing.frame.concat(&rows)?;
+        if !snap.rewrites.is_empty() {
+            let mut topics = frame.column("topics").and_then(Column::str_lists)?.to_vec();
+            for rw in snap.rewrites {
+                topics[rw.row as usize] = Some(rw.topics);
+            }
+            frame = frame.with_column(Column::new("topics", ColumnData::StrList(topics)))?;
         }
+        ing.frame = frame;
         ing.topic_list = snap.topic_list;
         ing.pending = snap.pending.iter().map(|&r| r as usize).collect();
         backfill_row_embeds(ing, rec, &[]);
@@ -1611,8 +1594,8 @@ impl AllHands {
             }
             doc_index.train_count() > before
         };
-        let frame = ing.frame()?;
         ing.batches = batch + 1;
+        let frame = ing.frame.clone();
         self.agent.set_frame(frame.clone());
         Ok(Applied::Batch(IngestReport {
             batch,
@@ -1658,9 +1641,9 @@ impl AllHands {
     fn checkpoint_state(&self) -> Option<CheckpointState> {
         let ing = self.ingest.as_ref()?;
         Some(CheckpointState {
-            texts: ing.texts.clone(),
-            row_labels: ing.row_labels.clone(),
-            doc_topics: ing.doc_topics.clone(),
+            texts: owned(ing.strs("text")),
+            row_labels: owned(ing.strs("label")),
+            doc_topics: owned(ing.topics()),
             topic_list: ing.topic_list.clone(),
             pending: ing.pending.iter().map(|&r| r as u64).collect(),
             batches: ing.batches as u64,
@@ -1700,7 +1683,7 @@ impl AllHands {
     /// The incremental document index over every row, built on first use.
     fn doc_index(&mut self, op: &str) -> Result<&mut IvfIndex, AllHandsError> {
         let ing = self.ingest.as_mut().ok_or_else(|| pipeline_only(op))?;
-        let rows = ing.texts.len();
+        let rows = ing.frame.n_rows();
         Ok(ensure_doc_index(ing, &self.recorder, &self.config.ingest, rows))
     }
 
@@ -1868,6 +1851,11 @@ fn resilience_ctx(config: &AllHandsConfig, recorder: &Recorder) -> Arc<Resilienc
     Arc::new(ResilienceCtx::with_recorder(config.resilience, recorder.clone()))
 }
 
+/// Owned copies of a column's cells; the feedback frame holds no nulls.
+fn owned<T: Clone + Default>(cells: &[Option<T>]) -> Vec<T> {
+    cells.iter().map(|c| c.clone().unwrap_or_default()).collect()
+}
+
 /// The *decide* half of a live ingest batch: classify the new documents,
 /// assign each to an existing topic by embedding similarity, run the
 /// pending-pool flush if it fills, and return the delta that
@@ -1900,7 +1888,7 @@ fn decide_batch(
         .classify_batch(batch);
 
     // Stage 2: similarity assignment against the existing topic list.
-    let start_row = ing.texts.len();
+    let start_row = ing.frame.n_rows();
     let mut pending = ing.pending.clone();
     let mut topics: Vec<Vec<String>> = Vec::with_capacity(batch.len());
     {
@@ -1946,7 +1934,8 @@ fn decide_batch(
         let pending_rows = std::mem::take(&mut pending);
         flushed = pending_rows.len();
         // The corpus so far, this batch included, grounds spell-normalization.
-        let corpus: Vec<String> = ing.texts.iter().chain(batch).cloned().collect();
+        let mut corpus = owned(ing.strs("text"));
+        corpus.extend_from_slice(batch);
         let pending_texts: Vec<String> =
             pending_rows.iter().map(|&r| corpus[r].clone()).collect();
         let modeler = AbstractiveTopicModeler::new(&ing.llm, config.topics.clone())
@@ -1995,7 +1984,9 @@ fn decide_batch(
 /// being decided, in order), has a cached embedding, computing the missing
 /// tail data-parallel in one pass (deterministic across thread counts).
 fn backfill_row_embeds(ing: &mut IngestState, rec: &Recorder, extra: &[String]) {
-    let missing: Vec<&String> = ing.texts.iter().chain(extra).skip(ing.row_embeds.len()).collect();
+    let rows = ing.strs("text").iter().map(|t| t.as_deref().unwrap_or_default());
+    let missing: Vec<&str> =
+        rows.chain(extra.iter().map(String::as_str)).skip(ing.row_embeds.len()).collect();
     if missing.is_empty() {
         return;
     }
@@ -2012,15 +2003,15 @@ fn backfill_row_embeds(ing: &mut IngestState, rec: &Recorder, extra: &[String]) 
 /// landing there is exactly what routes a document to the pending pool.
 ///
 /// Centroids are recomputed from row state each batch rather than updated
-/// incrementally: the same `(doc_topics, row_embeds)` state yields the
+/// incrementally: the same `(topics, row_embeds)` state yields the
 /// same centroids whether it was reached live or by journal replay, so a
 /// resumed run's later batches assign byte-identically.
 fn topic_centroids(ing: &IngestState, upto: usize) -> Vec<Option<Embedding>> {
     let dims = ing.llm.embedder().dims();
     let mut sums: Vec<Embedding> = vec![Embedding::zeros(dims); ing.topic_list.len()];
     let mut counts = vec![0usize; ing.topic_list.len()];
-    for (row, topics) in ing.doc_topics.iter().take(upto).enumerate() {
-        for t in topics {
+    for (row, topics) in ing.topics().iter().take(upto).enumerate() {
+        for t in topics.iter().flatten() {
             if let Some(j) = ing.topic_list.iter().position(|x| x == t) {
                 sums[j].add_scaled(&ing.row_embeds[row], 1.0);
                 counts[j] += 1;
@@ -2255,7 +2246,7 @@ mod tests {
             restore_doc_index(ing, decoded.doc_index.unwrap(), &Recorder::disabled(), 1).unwrap();
             let restored = ing.doc_index.take().unwrap();
             assert_eq!(restored.to_state(), layout);
-            for id in 0..ing.texts.len() as u64 {
+            for id in 0..ing.frame.n_rows() as u64 {
                 let (a, b) = (original.get(id).unwrap(), restored.get(id).unwrap());
                 assert_eq!(bits(&a.vector), bits(&b.vector), "row {id}");
             }
@@ -2271,7 +2262,7 @@ mod tests {
         let mut ah = indexed_session();
         let layout = ah.checkpoint_state().unwrap().doc_index.unwrap();
         let ing = ah.ingest.as_mut().unwrap();
-        let rows = ing.texts.len() as u64;
+        let rows = ing.frame.n_rows() as u64;
         for bad in [rows, rows + 7, u64::MAX] {
             let mut tampered = layout.clone();
             tampered.partitions[0].push(allhands_vectordb::RecordState { id: bad, metadata: vec![] });

@@ -4,6 +4,7 @@ use crate::error::FrameError;
 use crate::value::Value;
 use crate::Result;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Column data type.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -131,17 +132,19 @@ impl ColumnData {
     }
 }
 
-/// A named, typed column.
+/// A named, typed column. The storage is immutable and shared behind an
+/// `Arc`: cloning a column, or a frame holding it, costs a reference
+/// count, never a copy of its cells.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Column {
     name: String,
-    data: ColumnData,
+    data: Arc<ColumnData>,
 }
 
 impl Column {
     /// Create a column from storage.
     pub fn new(name: &str, data: ColumnData) -> Self {
-        Column { name: name.to_string(), data }
+        Column { name: name.to_string(), data: Arc::new(data) }
     }
 
     /// Non-null i64 column.
@@ -206,7 +209,7 @@ impl Column {
         self.data.is_empty()
     }
 
-    /// Underlying storage.
+    /// Underlying storage, shared by every clone of this column.
     pub fn data(&self) -> &ColumnData {
         &self.data
     }
@@ -228,7 +231,7 @@ impl Column {
 
     /// Select rows at `indices` into a new column.
     pub fn take(&self, indices: &[usize]) -> Column {
-        Column { name: self.name.clone(), data: self.data.take(indices) }
+        Column::new(&self.name, self.data.take(indices))
     }
 
     /// Numeric view of the cells (nulls and non-numerics become None).
@@ -316,7 +319,7 @@ impl Column {
 
     /// Borrow string cells (errors unless a Str column).
     pub fn strs(&self) -> Result<&[Option<String>]> {
-        match &self.data {
+        match &*self.data {
             ColumnData::Str(v) => Ok(v),
             _ => Err(FrameError::TypeMismatch {
                 column: self.name.clone(),
@@ -328,7 +331,7 @@ impl Column {
 
     /// Borrow string-list cells (errors unless a StrList column).
     pub fn str_lists(&self) -> Result<&[Option<Vec<String>>]> {
-        match &self.data {
+        match &*self.data {
             ColumnData::StrList(v) => Ok(v),
             _ => Err(FrameError::TypeMismatch {
                 column: self.name.clone(),
@@ -340,7 +343,7 @@ impl Column {
 
     /// Borrow datetime cells (errors unless a DateTime column).
     pub fn datetimes(&self) -> Result<&[Option<i64>]> {
-        match &self.data {
+        match &*self.data {
             ColumnData::DateTime(v) => Ok(v),
             _ => Err(FrameError::TypeMismatch {
                 column: self.name.clone(),

@@ -9,6 +9,10 @@ use serde::{Deserialize, Serialize};
 
 /// An immutable table. All mutating operations return a new frame.
 ///
+/// Columns share their storage (see [`Column`]): a clone of a frame, and
+/// every column `select`, `with_column`, `drop_column` or `rename` keeps
+/// unchanged, points at the source's cells instead of copying them.
+///
 /// Deserialization re-validates through [`DataFrame::new`], so serialized
 /// frames cannot smuggle in ragged column lengths or duplicate names.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
@@ -185,45 +189,6 @@ impl DataFrame {
     pub fn filter_eq(&self, column: &str, value: &Value) -> Result<DataFrame> {
         let col = self.column(column)?;
         Ok(self.filter_by(|i| col.get(i).loose_eq(value)))
-    }
-
-    /// Keep rows where the Str column contains `needle` (case-insensitive).
-    pub fn filter_contains(&self, column: &str, needle: &str) -> Result<DataFrame> {
-        let col = self.column(column)?;
-        let needle = needle.to_lowercase();
-        let strs = col.strs()?;
-        let mask: Vec<bool> = strs
-            .iter()
-            .map(|o| o.as_deref().is_some_and(|s| s.to_lowercase().contains(&needle)))
-            .collect();
-        self.filter(&mask)
-    }
-
-    /// Keep rows where the StrList column contains `item` (exact,
-    /// case-insensitive).
-    pub fn filter_list_has(&self, column: &str, item: &str) -> Result<DataFrame> {
-        let col = self.column(column)?;
-        let lists = col.str_lists()?;
-        let item = item.to_lowercase();
-        let mask: Vec<bool> = lists
-            .iter()
-            .map(|o| {
-                o.as_deref()
-                    .is_some_and(|l| l.iter().any(|t| t.to_lowercase() == item))
-            })
-            .collect();
-        self.filter(&mask)
-    }
-
-    /// Keep rows whose DateTime column falls in `[start, end)` epoch seconds.
-    pub fn filter_datetime_range(&self, column: &str, start: i64, end: i64) -> Result<DataFrame> {
-        let col = self.column(column)?;
-        let times = col.datetimes()?;
-        let mask: Vec<bool> = times
-            .iter()
-            .map(|o| o.is_some_and(|t| t >= start && t < end))
-            .collect();
-        self.filter(&mask)
     }
 
     /// Select rows at `indices`, in order (out-of-range yields null cells).
@@ -497,12 +462,10 @@ mod tests {
     }
 
     #[test]
-    fn filter_eq_and_contains() {
+    fn filter_eq_keeps_matching_rows() {
         let df = sample();
         let wa = df.filter_eq("product", &Value::str("WhatsApp")).unwrap();
         assert_eq!(wa.n_rows(), 2);
-        let has_win = df.filter_contains("product", "win").unwrap();
-        assert_eq!(has_win.n_rows(), 1);
     }
 
     #[test]
@@ -511,6 +474,33 @@ mod tests {
         let sorted = df.sort_by("sentiment", false).unwrap();
         assert_eq!(sorted.cell(0, "product").unwrap(), Value::str("Minecraft"));
         assert_eq!(sorted.cell(3, "product").unwrap(), Value::str("Windows"));
+    }
+
+    /// Every column of `b` named in `names` shares `a`'s storage.
+    fn shares(a: &DataFrame, b: &DataFrame, names: &[&str]) -> bool {
+        names.iter().all(|n| {
+            std::ptr::eq(a.column(n).unwrap().data(), b.column(n).unwrap().data())
+        })
+    }
+
+    #[test]
+    fn clones_and_projections_share_column_storage() {
+        let df = sample();
+        let all = ["product", "sentiment", "len"];
+        assert!(shares(&df, &df.clone(), &all));
+        assert!(shares(&df, &df.select(&["len", "product"]).unwrap(), &["len", "product"]));
+        let replaced = df.with_column(Column::from_i64s("len", &[0; 4])).unwrap();
+        assert!(shares(&df, &replaced, &["product", "sentiment"]));
+        assert!(!shares(&df, &replaced, &["len"]));
+        let added = df.with_column(Column::from_i64s("extra", &[0; 4])).unwrap();
+        assert!(shares(&df, &added, &all));
+        assert!(shares(&df, &df.drop_column("sentiment").unwrap(), &["product", "len"]));
+        let renamed = df.rename("len", "length").unwrap();
+        assert!(shares(&df, &renamed, &["product", "sentiment"]));
+        assert!(std::ptr::eq(
+            df.column("len").unwrap().data(),
+            renamed.column("length").unwrap().data()
+        ));
     }
 
     #[test]
@@ -575,30 +565,11 @@ mod tests {
     }
 
     #[test]
-    fn filter_list_has() {
-        let df = DataFrame::new(vec![Column::from_str_lists("topics", vec![
-            vec!["Bug".into()],
-            vec!["feature request".into()],
-        ])])
-        .unwrap();
-        assert_eq!(df.filter_list_has("topics", "bug").unwrap().n_rows(), 1);
-    }
-
-    #[test]
     fn table_rendering() {
         let s = sample().to_table_string(2);
         assert!(s.contains("product"));
         assert!(s.contains("(2 more rows)"));
         assert!(s.starts_with('|'));
-    }
-
-    #[test]
-    fn datetime_range_filter() {
-        let t0 = CivilDateTime::date(2023, 4, 1).to_epoch();
-        let t1 = CivilDateTime::date(2023, 5, 1).to_epoch();
-        let df = DataFrame::new(vec![Column::from_datetimes("ts", &[t0, t1, t1 + 5])]).unwrap();
-        let apr = df.filter_datetime_range("ts", t0, t1).unwrap();
-        assert_eq!(apr.n_rows(), 1);
     }
 
     #[test]

@@ -1,7 +1,7 @@
-//! CSV and JSON-rows serialization.
+//! CSV serialization.
 //!
 //! The experiment binaries persist generated datasets and results; CSV keeps
-//! them human-inspectable, JSON rows feed EXPERIMENTS.md regeneration.
+//! them human-inspectable.
 
 use crate::column::{Column, ColumnData, DType};
 use crate::error::FrameError;
@@ -138,31 +138,6 @@ impl DataFrame {
                 .collect(),
         )
     }
-
-    /// Serialize as newline-delimited JSON objects (one per row).
-    pub fn to_json_rows(&self) -> String {
-        let mut out = String::new();
-        for row in 0..self.n_rows() {
-            let mut obj = serde_json::Map::new();
-            for c in self.columns() {
-                let v = match c.get(row) {
-                    Value::Null => serde_json::Value::Null,
-                    Value::Int(i) => serde_json::Value::from(i),
-                    Value::Float(f) => serde_json::Value::from(f),
-                    Value::Str(s) => serde_json::Value::from(s),
-                    Value::Bool(b) => serde_json::Value::from(b),
-                    Value::DateTime(t) => serde_json::Value::from(
-                        crate::datetime::CivilDateTime::from_epoch(t).to_string(),
-                    ),
-                    Value::StrList(l) => serde_json::Value::from(l),
-                };
-                obj.insert(c.name().to_string(), v);
-            }
-            out.push_str(&serde_json::Value::Object(obj).to_string());
-            out.push('\n');
-        }
-        out
-    }
 }
 
 fn parse_field(field: &str, dtype: DType) -> std::result::Result<Value, String> {
@@ -241,14 +216,6 @@ mod tests {
         let back = DataFrame::from_csv(&csv, &[("ts", DType::DateTime)]).unwrap();
         assert_eq!(back.cell(0, "ts").unwrap(), Value::DateTime(0));
         assert_eq!(back.cell(1, "ts").unwrap(), Value::Null);
-    }
-
-    #[test]
-    fn json_rows() {
-        let j = sample().to_json_rows();
-        let first: serde_json::Value = serde_json::from_str(j.lines().next().unwrap()).unwrap();
-        assert_eq!(first["text"], "plain");
-        assert_eq!(first["topics"][0], "bug");
     }
 
     #[test]

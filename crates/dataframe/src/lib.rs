@@ -12,6 +12,9 @@
 //!   not `Vec<Value>`: kernels iterate natively-typed slices.
 //! - All operations are immutable — they return new frames — matching how
 //!   generated analysis code composes steps.
+//! - A column's storage sits behind an `Arc`, so cloning a frame (a session
+//!   binding, an ingest report) and keeping a column unchanged across a
+//!   derive cost a reference count, not a copy.
 //! - Errors are values ([`FrameError`]), never panics, because generated
 //!   code must be able to fail gracefully and trigger the agent's
 //!   self-reflection loop.

@@ -70,19 +70,6 @@ impl DataFrame {
             ))
         })
     }
-
-    /// Fraction of rows matching `predicate` (0.0 for an empty frame).
-    pub fn fraction_where<F: FnMut(usize) -> bool>(&self, predicate: F) -> f64 {
-        if self.n_rows() == 0 {
-            return 0.0;
-        }
-        let hits = (0..self.n_rows()).filter({
-            let mut p = predicate;
-            move |&i| p(i)
-        })
-        .count();
-        hits as f64 / self.n_rows() as f64
-    }
 }
 
 #[cfg(test)]
@@ -124,14 +111,5 @@ mod tests {
         .unwrap();
         assert!((df.correlation("a", "b").unwrap() - 1.0).abs() < 1e-12);
         assert!(df.correlation("a", "nope").is_err());
-    }
-
-    #[test]
-    fn fraction() {
-        let df = DataFrame::new(vec![Column::from_i64s("x", &[1, 2, 3, 4])]).unwrap();
-        let col = df.column("x").unwrap().clone();
-        let frac = df.fraction_where(|i| col.get(i).as_f64().unwrap() > 2.0);
-        assert_eq!(frac, 0.5);
-        assert_eq!(DataFrame::empty().fraction_where(|_| true), 0.0);
     }
 }

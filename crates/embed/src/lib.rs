@@ -212,11 +212,6 @@ impl SentenceEmbedder {
         e.normalize();
         e
     }
-
-    /// Embed a batch of texts.
-    pub fn embed_batch<S: AsRef<str>>(&self, texts: &[S]) -> Vec<Embedding> {
-        texts.iter().map(|t| self.embed(t.as_ref())).collect()
-    }
 }
 
 /// Map a u32 to [-1, 1).
@@ -433,14 +428,6 @@ mod tests {
         let es = m.embed("los resultados son incorrectos");
         let unrelated = m.embed("brilliant camera zoom feature");
         assert!(en.cosine(&es) > en.cosine(&unrelated));
-    }
-
-    #[test]
-    fn batch_matches_single() {
-        let e = SentenceEmbedder::new(EmbedderConfig::small());
-        let batch = e.embed_batch(&["a b c", "d e f"]);
-        assert_eq!(batch[0].as_slice(), e.embed("a b c").as_slice());
-        assert_eq!(batch.len(), 2);
     }
 
     #[test]

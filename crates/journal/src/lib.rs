@@ -1061,14 +1061,6 @@ impl Journal {
         }
     }
 
-    /// Verified entries with `seq >= after`, in chain order. A structured
-    /// view of the tail for in-process consumers; replication wants
-    /// [`Journal::tail_after`] (the exact on-disk lines) instead.
-    pub fn entries_after(&self, after: u64) -> &[Entry] {
-        let start = self.entries.partition_point(|e| e.seq < after);
-        &self.entries[start..]
-    }
-
     /// The WAL suffix from `cursor` (inclusive) to the chain head, as exact
     /// on-disk lines for replication. Empty when the cursor is already at
     /// the head. Returns [`JournalError::TailGap`] when the cursor predates
@@ -1438,17 +1430,6 @@ impl Journal {
         hit
     }
 
-    /// Keys of every entry in `stage`, in chain (append) order. The ingest
-    /// path uses this to count committed batch delta records; duplicates
-    /// appear if a key was appended more than once (latest wins on replay).
-    pub fn stage_keys(&self, stage: &str) -> Vec<&str> {
-        self.entries
-            .iter()
-            .filter(|e| e.stage == stage)
-            .map(|e| e.key.as_str())
-            .collect()
-    }
-
     /// Decode the latest entry matching `(stage, key)` into `T`. Returns
     /// `None` when absent; decoding failures surface as errors (a present
     /// but undecodable snapshot is corruption, not a cache miss).
@@ -1772,21 +1753,6 @@ mod tests {
         assert_eq!(j.lookup::<Snap>("stage", "classified").unwrap(), Some(snap));
         assert_eq!(j.lookup::<String>("qa", "q0").unwrap(), Some("answer text".into()));
         assert_eq!(j.lookup::<Snap>("stage", "missing").unwrap(), None);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn stage_keys_in_append_order() {
-        let dir = scratch("stage-keys");
-        let mut j = Journal::open(&dir).unwrap();
-        j.ensure_run("cafe").unwrap();
-        j.append("ingest", "b00000:aa", &1u64).unwrap();
-        j.append("qa", "q000:bb", &2u64).unwrap();
-        j.append("ingest", "b00001:cc", &3u64).unwrap();
-        assert_eq!(j.stage_keys("ingest"), vec!["b00000:aa", "b00001:cc"]);
-        assert_eq!(j.stage_keys("qa"), vec!["q000:bb"]);
-        assert!(j.stage_keys("absent").is_empty());
-        drop(j);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -2489,9 +2455,6 @@ mod tests {
         // A cursor at the anchor (or past it) still tails fine.
         assert_eq!(j.tail_after(2).unwrap().len(), 1);
         assert!(j.tail_after(3).unwrap().is_empty());
-        // entries_after mirrors the structured view.
-        assert_eq!(j.entries_after(0).len(), 1);
-        assert_eq!(j.entries_after(3).len(), 0);
         drop(j);
         std::fs::remove_dir_all(&dir).unwrap();
     }

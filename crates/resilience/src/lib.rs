@@ -342,11 +342,6 @@ impl ResilienceCtx {
         self.lock().breakers[Self::idx(head)].state()
     }
 
-    /// Whether `head`'s breaker is currently denying calls.
-    pub fn breaker_open(&self, head: Head) -> bool {
-        self.breaker_state(head) == BreakerState::Open
-    }
-
     /// Total closed→open transitions for `head`.
     pub fn breaker_trips(&self, head: Head) -> u32 {
         self.lock().breakers[Self::idx(head)].trips()
@@ -543,7 +538,7 @@ mod tests {
             let out: Result<(), _> = ctx.call(Head::Summarize, |_| Err(transient()));
             assert!(matches!(out, Err(AllHandsError::RetriesExhausted { attempts: 3, .. })));
         }
-        assert!(ctx.breaker_open(Head::Summarize));
+        assert_eq!(ctx.breaker_state(Head::Summarize), BreakerState::Open);
         assert_eq!(ctx.breaker_trips(Head::Summarize), 1);
         // Denied without attempting.
         let before = ctx.stats().attempts;

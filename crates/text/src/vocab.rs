@@ -113,31 +113,12 @@ impl Vocabulary {
         (((1.0 + n) / (1.0 + df)).ln() + 1.0) as f32
     }
 
-    /// Unigram probability with add-one smoothing.
-    pub fn unigram_prob(&self, id: u32) -> f64 {
-        let total: u64 = self.term_freq.iter().sum();
-        (self.term_freq(id) as f64 + 1.0) / (total as f64 + self.len() as f64)
-    }
-
     /// Iterate `(token, id)` pairs in id order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, u32)> {
         self.id_to_token
             .iter()
             .enumerate()
             .map(|(i, t)| (t.as_str(), i as u32))
-    }
-
-    /// The `k` most frequent token ids (by term frequency, descending;
-    /// ties broken by id for determinism).
-    pub fn top_k_by_freq(&self, k: usize) -> Vec<u32> {
-        let mut ids: Vec<u32> = (0..self.len() as u32).collect();
-        ids.sort_by(|&a, &b| {
-            self.term_freq(b)
-                .cmp(&self.term_freq(a))
-                .then(a.cmp(&b))
-        });
-        ids.truncate(k);
-        ids
     }
 }
 
@@ -186,24 +167,5 @@ mod tests {
         v.add_document(["a", "b"]);
         let ids = v.encode(["a", "zzz", "b"]);
         assert_eq!(ids.len(), 2);
-    }
-
-    #[test]
-    fn top_k_deterministic() {
-        let mut v = Vocabulary::new();
-        v.add_document(["x", "x", "y", "z"]);
-        let top = v.top_k_by_freq(2);
-        assert_eq!(v.token_of(top[0]), Some("x"));
-        assert_eq!(top.len(), 2);
-    }
-
-    #[test]
-    fn unigram_probs_sum_reasonably() {
-        let mut v = Vocabulary::new();
-        v.add_document(["a", "a", "b"]);
-        let pa = v.unigram_prob(v.id_of("a").unwrap());
-        let pb = v.unigram_prob(v.id_of("b").unwrap());
-        assert!(pa > pb);
-        assert!((pa + pb - 1.0).abs() < 0.5); // smoothed, not exact
     }
 }

@@ -124,24 +124,6 @@ pub fn fit_nmf(corpus: &Corpus, config: &NmfConfig) -> NmfModel {
 }
 
 impl NmfModel {
-    /// Reconstruction error ‖X − WH‖² over the sparse support plus the
-    /// implicit zeros contribution is expensive; we report the support-only
-    /// residual, which still decreases monotonically for these updates.
-    pub fn support_residual(&self, corpus: &Corpus) -> f64 {
-        let mut err = 0.0f64;
-        for d in 0..corpus.n_docs() {
-            for (term, count) in corpus.doc_term_counts(d) {
-                let x = corpus.tfidf(count, term) as f64;
-                let mut approx = 0.0f64;
-                for t in 0..self.k {
-                    approx += (self.w[d][t] * self.h[t][term as usize]) as f64;
-                }
-                err += (x - approx).powi(2);
-            }
-        }
-        err
-    }
-
     /// Convert to the uniform output shape.
     pub fn output(&self, corpus: &Corpus, top_n: usize) -> TopicModelOutput {
         let top_words: Vec<Vec<String>> = (0..self.k)
@@ -194,14 +176,6 @@ mod tests {
             texts.push(format!("love great amazing wonderful fast {i}"));
         }
         Corpus::build(&texts, 2, 1.0)
-    }
-
-    #[test]
-    fn residual_decreases_with_iterations() {
-        let c = corpus();
-        let short = fit_nmf(&c, &NmfConfig { k: 2, iterations: 2, seed: 1 });
-        let long = fit_nmf(&c, &NmfConfig { k: 2, iterations: 60, seed: 1 });
-        assert!(long.support_residual(&c) < short.support_residual(&c));
     }
 
     #[test]

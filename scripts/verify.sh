@@ -35,9 +35,11 @@
 #   --query-smoke   the engine-differential suite (90 reference programs and
 #                   a numeric chain over a generated frame, join keys
 #                   straddling 2^53 and ±0.0, proptest random chains — both
-#                   engines byte-identical) and the golden-answer suite (the
+#                   engines byte-identical), the golden-answer suite (the
 #                   paper conversation's answers of four corpora equal the
-#                   fingerprints pinned from an earlier build).
+#                   fingerprints pinned from an earlier build), and the
+#                   dataframe and query crates' own tests (the shared column
+#                   storage both engines run on, clone sharing included).
 #   --serve-smoke   the serving/replication suite (kill-at-every-entry
 #                   reconnect sweep, lag reporting, replica write refusal)
 #                   and the apply-path convergence suite, then the
@@ -117,8 +119,9 @@ if [[ "$iofault_smoke" == 1 ]]; then
 fi
 
 if [[ "$query_smoke" == 1 ]]; then
-  echo "==> query smoke (engine differential + golden answers)"
+  echo "==> query smoke (engine differential + golden answers + dataframe/query crates)"
   cargo test -q --test query_differential --test golden_answers
+  cargo test -q -p allhands-dataframe -p allhands-query
 fi
 
 if [[ "$serve_smoke" == 1 ]]; then

@@ -252,6 +252,18 @@ impl<T: Serialize> Serialize for [T] {
     }
 }
 
+/// Shared ownership is transparent on the wire, as in serde's `rc` feature.
+impl<T: Serialize + ?Sized> Serialize for std::sync::Arc<T> {
+    fn to_content(&self) -> Content {
+        (**self).to_content()
+    }
+}
+impl<T: Deserialize> Deserialize for std::sync::Arc<T> {
+    fn from_content(c: &Content) -> Result<Self, DeError> {
+        T::from_content(c).map(std::sync::Arc::new)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -265,6 +277,14 @@ mod tests {
             Vec::<f64>::from_content(&vec![1.0, 2.5].to_content()).unwrap(),
             vec![1.0, 2.5]
         );
+    }
+
+    #[test]
+    fn arc_round_trips_as_its_contents() {
+        let shared = std::sync::Arc::new(vec![1i64, 2]);
+        assert_eq!(shared.to_content(), vec![1i64, 2].to_content());
+        let back = std::sync::Arc::<Vec<i64>>::from_content(&shared.to_content()).unwrap();
+        assert_eq!(back, shared);
     }
 
     #[test]

@@ -57,10 +57,10 @@ pub use allhands_vectordb as vectordb;
 pub mod prelude {
     pub use allhands_classify::LabeledExample;
     pub use allhands_core::{
-        AllHands, AllHandsBuilder, AllHandsConfig, AllHandsError, AnalyzeOptions,
-        BootstrapBundle, CheckpointPolicy, FaultVfs, IngestConfig, IngestReport,
-        IoFaultKind, IoFaultPlan, JournalMode, QuarantineReport, RecorderMode,
-        RecoverPoint, Response, TailEntry, TailReport, Vfs,
+        AllHands, AllHandsBuilder, AllHandsConfig, AllHandsError, BootstrapBundle,
+        CheckpointPolicy, FaultVfs, IngestConfig, IngestReport, IoFaultKind, IoFaultPlan,
+        JournalMode, QuarantineReport, RecorderMode, RecoverPoint, Response, TailEntry,
+        TailReport, Vfs,
     };
     pub use allhands_dataframe::DataFrame;
     pub use allhands_llm::ModelTier;

@@ -5,8 +5,9 @@
 //! restore frames, topic state, and index structure without recomputing.
 //!
 //! Also here: the `ingest > batch[i] > classify/assign/index` span family
-//! with its deterministic counters, the from_frame rejection, and the
-//! `search_similar` / `retract` facade over the incremental document index.
+//! with its deterministic counters, the from_frame rejection, the
+//! `search_similar` / `retract` facade over the incremental document index,
+//! and the one copy of the rows a batch report and the agent share.
 
 use allhands::core::InjectedCrash;
 use allhands::datasets::{generate_n, DatasetKind};
@@ -372,4 +373,36 @@ fn search_similar_and_retract_round_trip() {
         after.iter().all(|(id, _)| *id != top),
         "retracted row {top} still surfaces: {after:?}"
     );
+}
+
+#[test]
+fn ingest_report_agent_and_clones_share_column_storage() {
+    let _g = GLOBAL_GUARD.lock().unwrap_or_else(|p| p.into_inner());
+    let (texts, labeled, predefined) = corpus();
+    let (mut ah, _frame) = AllHands::builder(ModelTier::Gpt4)
+        .config(ingest_tuned(AllHandsConfig::default()))
+        .analyze(&texts, &labeled, &predefined)
+        .unwrap();
+    // The themed batches flush, so the topics column is replaced as well
+    // as appended to.
+    for batch in batches() {
+        let report = ah.ingest(&batch).unwrap();
+        let copy = report.frame.clone();
+        let Some(allhands::query::RtValue::Frame(feedback)) =
+            ah.agent_mut().session_mut().get("feedback")
+        else {
+            panic!("the agent binds no feedback frame");
+        };
+        for col in report.frame.columns() {
+            for other in [feedback, &copy] {
+                let shared = other.column(col.name()).unwrap();
+                assert!(
+                    std::ptr::eq(col.data(), shared.data()),
+                    "batch {}: column {} is a copy, not shared",
+                    report.batch,
+                    col.name()
+                );
+            }
+        }
+    }
 }
