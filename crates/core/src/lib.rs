@@ -1101,11 +1101,12 @@ impl Run<'_> {
         marker: u64,
     ) -> Result<(AllHands, DataFrame), AllHandsError> {
         let Run { tier, labeled_sample, config, recorder, .. } = self;
-        let frame = feedback_rows(0, state.texts, state.row_labels, state.doc_topics).map_err(|e| {
-            AllHandsError::Pipeline(format!(
-                "recover: checkpoint {marker} is internally inconsistent ({e})"
-            ))
-        })?;
+        let frame =
+            feedback_rows(0, state.texts, state.row_labels, state.doc_topics).map_err(|e| {
+                AllHandsError::Pipeline(format!(
+                    "recover: checkpoint {marker} is internally inconsistent ({e})"
+                ))
+            })?;
         recorder.set_meta("tier", tier.name());
         recorder.set_meta("journaled", "true");
         recorder.set_meta("recovered_from_checkpoint", &marker.to_string());
