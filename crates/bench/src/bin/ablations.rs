@@ -1,5 +1,5 @@
 //! Regenerates the design-choice ablations DESIGN.md lists: retrieval shots
-//! and flat vs IVF retrieval for ICL classification, HITLR on/off and its
+//! and exact vs IVF retrieval for ICL classification, HITLR on/off and its
 //! rounds for topic modeling, and the QA agent's self-reflection retry
 //! budget and plan merge. Each prints the quality the choice buys; the
 //! cost side is timed end to end by `allhands-perf`.
@@ -28,7 +28,8 @@ fn main() {
     let labels = vec!["informative".to_string(), "non-informative".to_string()];
     let mut icl_rows = Vec::new();
     let mut icl_json = Vec::new();
-    // The shots sweep runs on the default IVF index; 10 shots also on flat.
+    // The shots sweep runs on the default IVF index; 10 shots also on the
+    // untrained index, an exact scan (the `flat` row).
     for (shots, use_ivf) in [(0, true), (1, true), (5, true), (10, true), (30, true), (10, false)] {
         let config = IclConfig { shots, use_ivf, ..Default::default() };
         let accuracy = IclClassifier::fit(&llm, &train, &labels, config).evaluate(test);

@@ -10,7 +10,7 @@ use allhands_classify::{LabeledExample, LexicalPrior};
 use allhands_embed::Embedding;
 use allhands_llm::{ChatOptions, ClassifyHead, Demonstration, EmbeddedDemonstration, SimLlm};
 use allhands_resilience::{Head, ResilienceConfig, ResilienceCtx};
-use allhands_vectordb::{FlatIndex, IvfIndex, Record, VectorIndex};
+use allhands_vectordb::{IvfIndex, Record};
 use std::sync::Arc;
 
 /// Classification-stage configuration.
@@ -18,8 +18,9 @@ use std::sync::Arc;
 pub struct IclConfig {
     /// Demonstrations retrieved per query (0 = zero-shot).
     pub shots: usize,
-    /// Use the approximate IVF index instead of the exact flat scan
-    /// (the retrieval-quality/latency ablation).
+    /// Train the demonstration index into IVF partitions (pools above 500
+    /// demonstrations); otherwise retrieval is an exact scan (the
+    /// retrieval-quality/latency ablation).
     pub use_ivf: bool,
     /// IVF partitions (when `use_ivf`).
     pub ivf_partitions: usize,
@@ -46,34 +47,6 @@ impl Default for IclConfig {
 /// identical at any `ALLHANDS_THREADS`.
 const CLASSIFY_SPAN_BATCH: usize = 64;
 
-enum Index {
-    Flat(FlatIndex),
-    Ivf(IvfIndex),
-}
-
-impl Index {
-    fn search(&self, query: &Embedding, k: usize) -> Vec<allhands_vectordb::SearchResult> {
-        match self {
-            Index::Flat(i) => i.search(query, k),
-            Index::Ivf(i) => i.search(query, k),
-        }
-    }
-
-    fn get(&self, id: u64) -> Option<Record> {
-        match self {
-            Index::Flat(i) => i.get(id),
-            Index::Ivf(i) => i.get(id),
-        }
-    }
-
-    fn set_recorder(&mut self, rec: allhands_obs::Recorder) {
-        match self {
-            Index::Flat(i) => i.set_recorder(rec),
-            Index::Ivf(i) => i.set_recorder(rec),
-        }
-    }
-}
-
 /// The embedded demonstration pool: vector index over the labeled sample,
 /// the sample itself, the fixed label-candidate order, and the
 /// degraded-mode lexical prior. Borrow-free (unlike [`IclClassifier`], it
@@ -81,7 +54,7 @@ impl Index {
 /// ingestion batches and re-uses the fitted index instead of re-embedding
 /// the pool per batch.
 pub struct DemoIndex {
-    index: Index,
+    index: IvfIndex,
     /// Demonstration pool aligned with record ids.
     pool: Vec<LabeledExample>,
     labels: Vec<String>,
@@ -95,21 +68,12 @@ impl DemoIndex {
     pub fn fit(llm: &SimLlm, pool: &[LabeledExample], labels: &[String], config: &IclConfig) -> Self {
         assert!(!labels.is_empty(), "need at least one label");
         let dims = llm.embedder().dims();
-        let mut index = if config.use_ivf && pool.len() > 500 {
-            Index::Ivf(IvfIndex::new(dims, config.ivf_nprobe))
-        } else {
-            Index::Flat(FlatIndex::new(dims))
-        };
+        let mut index = IvfIndex::new(dims, config.ivf_nprobe);
         for (i, ex) in pool.iter().enumerate() {
-            let v = llm.embedder().embed(&ex.text);
-            let record = Record::new(i as u64, v).with_meta("label", &ex.label);
-            match &mut index {
-                Index::Flat(idx) => idx.insert(record),
-                Index::Ivf(idx) => idx.insert(record),
-            }
+            index.insert(Record::new(i as u64, llm.embedder().embed(&ex.text)));
         }
-        if let Index::Ivf(idx) = &mut index {
-            idx.train(config.ivf_partitions.min(pool.len() / 8).max(2));
+        if config.use_ivf && pool.len() > 500 {
+            index.train(config.ivf_partitions.min(pool.len() / 8).max(2));
         }
         DemoIndex {
             index,

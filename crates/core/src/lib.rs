@@ -57,7 +57,7 @@ use allhands_classify::LabeledExample;
 use allhands_dataframe::{Column, ColumnData, DataFrame};
 use allhands_embed::Embedding;
 use allhands_llm::{ModelSpec, ModelTier, SimLlm};
-use allhands_vectordb::{IvfIndex, IvfState, Record, VectorIndex};
+use allhands_vectordb::{IvfIndex, IvfState, Record};
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -398,23 +398,6 @@ impl AllHandsBuilder {
     /// Replace the stage configuration (defaults otherwise).
     pub fn config(mut self, config: AllHandsConfig) -> Self {
         self.config = config;
-        self
-    }
-
-    /// Replace the incremental-ingestion settings. The durability policy is
-    /// fixed at construction: it is folded into the run fingerprint the
-    /// journal header records, so a journal can only be resumed under the
-    /// policy that produced it.
-    pub fn ingest_config(mut self, ingest: IngestConfig) -> Self {
-        self.config.ingest = ingest;
-        self
-    }
-
-    /// Replace the checkpoint/compaction retention policy. Like
-    /// [`ingest_config`](Self::ingest_config), fixed at construction and
-    /// recorded (via the run fingerprint) in the journal header.
-    pub fn checkpoints(mut self, policy: CheckpointPolicy) -> Self {
-        self.config.checkpoint = policy;
         self
     }
 
@@ -2200,17 +2183,18 @@ mod tests {
         ah
     }
 
-    /// Checkpoints used to carry every record's vector inline in the index
-    /// state. Such a payload still decodes (unknown fields are skipped) and
-    /// restores to the same index as the vector-free layout does.
+    /// Checkpoints in earlier layouts still decode (unknown fields are
+    /// skipped) and restore to the same index as the current layout: one
+    /// gave every record an empty `metadata` list, and an older one also
+    /// carried every record's vector inline.
     #[test]
-    fn checkpoints_with_inline_vectors_restore_the_same_index() {
-        /// The earlier per-record state: the layout entry plus its vector.
+    fn checkpoints_in_earlier_layouts_restore_the_same_index() {
+        /// The oldest per-record state: the layout entry plus its vector.
         #[derive(Serialize)]
         struct InlineRecordState {
             id: u64,
             vector: Embedding,
-            metadata: Vec<allhands_vectordb::MetaPair>,
+            metadata: Vec<String>,
         }
         let mut ah = indexed_session();
         let state = ah.checkpoint_state().unwrap();
@@ -2225,7 +2209,7 @@ mod tests {
                     .map(|r| InlineRecordState {
                         id: r.id,
                         vector: original.get(r.id).unwrap().vector,
-                        metadata: r.metadata.clone(),
+                        metadata: Vec::new(),
                     })
                     .collect()
             })
@@ -2234,13 +2218,15 @@ mod tests {
         let partitions = serde_json::to_string(&layout.partitions).unwrap();
         assert_eq!(current.matches(&partitions).count(), 1);
         assert!(!current.contains("\"vector\""));
+        let listed = partitions.replace('}', ",\"metadata\":[]}");
+        let metadata_listed = current.replacen(&partitions, &listed, 1);
         let inline_json = serde_json::to_string(&inline).unwrap();
         let earlier = current.replacen(&partitions, &inline_json, 1);
         assert!(earlier.len() > 10 * current.len(), "the vectors were the bulk of a checkpoint");
 
         let queries = ["app crashes on startup", "love the new design", "login freezes"];
         let bits = |v: &Embedding| v.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        for payload in [current, earlier] {
+        for payload in [current, metadata_listed, earlier] {
             let value: serde_json::Value = serde_json::from_str(&payload).unwrap();
             let decoded: CheckpointState = allhands_journal::decode(&value).unwrap();
             ing.row_embeds.clear();
@@ -2266,7 +2252,7 @@ mod tests {
         let rows = ing.frame.n_rows() as u64;
         for bad in [rows, rows + 7, u64::MAX] {
             let mut tampered = layout.clone();
-            tampered.partitions[0].push(allhands_vectordb::RecordState { id: bad, metadata: vec![] });
+            tampered.partitions[0].push(allhands_vectordb::RecordState { id: bad });
             let err = restore_doc_index(ing, tampered, &Recorder::disabled(), 3).unwrap_err();
             assert!(matches!(err, AllHandsError::Pipeline(_)), "{err:?}");
             let msg = err.to_string();

@@ -23,7 +23,7 @@ use allhands_llm::{
 use allhands_resilience::{BreakerState, Head, ResilienceConfig, ResilienceCtx};
 use allhands_text::TrigramSet;
 use allhands_topics::{agglomerative_clusters, BartScorer, Linkage};
-use allhands_vectordb::{IvfIndex, Record, VectorIndex};
+use allhands_vectordb::{IvfIndex, Record};
 use std::collections::HashMap;
 use std::sync::Arc;
 

@@ -16,7 +16,7 @@
 //! certain details during the analysis process".
 
 use crate::model::{ChatOptions, ModelSpec};
-use allhands_dataframe::DataFrame;
+use allhands_dataframe::{ColumnData, DataFrame};
 use std::collections::HashMap;
 
 /// Schema information the generator conditions on (column names, dtypes,
@@ -30,46 +30,21 @@ pub struct SchemaInfo {
 }
 
 impl SchemaInfo {
-    /// Collect schema + up to 40 distinct values per categorical column
-    /// from a frame (the "dataframe preview" in the CG prompt).
+    /// Collect schema + up to 40 distinct values per `Str` column and 60
+    /// distinct items per `StrList` column, in first-appearance order with
+    /// nulls skipped, from a frame (the "dataframe preview" in the CG
+    /// prompt).
     pub fn from_frame(frame: &DataFrame) -> Self {
         let mut columns = Vec::new();
         let mut sample_values = HashMap::new();
         for col in frame.columns() {
             columns.push((col.name().to_string(), format!("{:?}", col.dtype())));
-            match col.dtype() {
-                allhands_dataframe::DType::Str => {
-                    let mut vals: Vec<String> = Vec::new();
-                    for v in col.iter() {
-                        if let allhands_dataframe::Value::Str(s) = v {
-                            if !vals.contains(&s) {
-                                vals.push(s);
-                                if vals.len() >= 40 {
-                                    break;
-                                }
-                            }
-                        }
-                    }
-                    sample_values.insert(col.name().to_string(), vals);
-                }
-                allhands_dataframe::DType::StrList => {
-                    let mut vals: Vec<String> = Vec::new();
-                    'outer: for v in col.iter() {
-                        if let allhands_dataframe::Value::StrList(items) = v {
-                            for s in items {
-                                if !vals.contains(&s) {
-                                    vals.push(s);
-                                    if vals.len() >= 60 {
-                                        break 'outer;
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    sample_values.insert(col.name().to_string(), vals);
-                }
-                _ => {}
-            }
+            let sample = match col.data() {
+                ColumnData::Str(cells) => first_distinct(cells.iter().flatten(), 40),
+                ColumnData::StrList(lists) => first_distinct(lists.iter().flatten().flatten(), 60),
+                _ => continue,
+            };
+            sample_values.insert(col.name().to_string(), sample);
         }
         SchemaInfo { columns, sample_values }
     }
@@ -95,6 +70,22 @@ impl SchemaInfo {
         }
         None
     }
+}
+
+/// The first `cap` distinct values of `cells`, in first-appearance order.
+/// Cells are compared by reference; only a value that joins the sample is
+/// cloned.
+fn first_distinct<'a>(cells: impl Iterator<Item = &'a String>, cap: usize) -> Vec<String> {
+    let mut vals: Vec<String> = Vec::new();
+    for s in cells {
+        if !vals.contains(s) {
+            vals.push(s.clone());
+            if vals.len() >= cap {
+                break;
+            }
+        }
+    }
+    vals
 }
 
 fn normalize_phrase(s: &str) -> String {
@@ -1147,6 +1138,32 @@ mod tests {
         );
         s.sample_values.insert("label".into(), vec!["informative".into(), "non-informative".into()]);
         s
+    }
+
+    #[test]
+    fn from_frame_samples_first_distinct_values_and_skips_nulls() {
+        use allhands_dataframe::Column;
+        let n = 100;
+        // 50 distinct products, first seen in descending order, every
+        // seventh cell null; every row's topics add one new item and repeat
+        // "shared".
+        let products = (0..n).map(|i| (i % 7 != 3).then(|| format!("p{}", 49 - i / 2))).collect();
+        let topics = (0..n).map(|i| vec![format!("t{i}"), "shared".to_string()]).collect();
+        let frame = DataFrame::new(vec![
+            Column::new("product", ColumnData::Str(products)),
+            Column::from_str_lists("topics", topics),
+            Column::from_f64s("score", &vec![0.5; n]),
+        ])
+        .unwrap();
+        let schema = SchemaInfo::from_frame(&frame);
+        let columns = [("product", "Str"), ("topics", "StrList"), ("score", "Float")];
+        assert_eq!(schema.columns, columns.map(|(c, t)| (c.to_string(), t.to_string())));
+        let products: Vec<String> = (10..50).rev().map(|k| format!("p{k}")).collect();
+        assert_eq!(schema.sample_values["product"], products);
+        let mut topics = vec!["t0".to_string(), "shared".to_string()];
+        topics.extend((1..59).map(|i| format!("t{i}")));
+        assert_eq!(schema.sample_values["topics"], topics);
+        assert!(!schema.sample_values.contains_key("score"));
     }
 
     #[test]

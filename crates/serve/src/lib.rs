@@ -167,14 +167,15 @@ impl Corpus {
     }
 }
 
+/// Write-admission queue capacity. A full queue blocks the submitting
+/// connection — backpressure, not rejection.
+const QUEUE_CAPACITY: usize = 32;
+
 /// Server construction knobs.
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
     /// Read replicas to bring up (at least 1).
     pub followers: usize,
-    /// Bounded write-admission queue capacity (at least 1). A full queue
-    /// blocks the submitting connection — backpressure, not rejection.
-    pub queue_capacity: usize,
     /// Model tier every session runs at.
     pub tier: ModelTier,
     /// Session configuration shared by leader and followers. Keep
@@ -193,7 +194,6 @@ impl Default for ServeOptions {
     fn default() -> Self {
         ServeOptions {
             followers: 2,
-            queue_capacity: 32,
             tier: ModelTier::Gpt4,
             config: AllHandsConfig::default(),
         }
@@ -222,7 +222,6 @@ struct Shared {
     fingerprint: String,
     rr: AtomicUsize,
     queue_depth: AtomicU64,
-    queue_capacity: usize,
     log: Mutex<RepLog>,
     log_cv: Condvar,
     paused: AtomicBool,
@@ -262,7 +261,6 @@ impl Server {
         opts: ServeOptions,
     ) -> Result<Server, ServeError> {
         let followers_n = opts.followers.max(1);
-        let queue_capacity = opts.queue_capacity.max(1);
 
         let (leader, _frame) = AllHands::builder(opts.tier)
             .config(opts.config.clone())
@@ -318,7 +316,6 @@ impl Server {
             fingerprint,
             rr: AtomicUsize::new(0),
             queue_depth: AtomicU64::new(0),
-            queue_capacity,
             log: Mutex::new(RepLog { base: leader_next, entries: Vec::new() }),
             log_cv: Condvar::new(),
             paused: AtomicBool::new(false),
@@ -327,7 +324,7 @@ impl Server {
             recorder,
         });
 
-        let (writer_tx, writer_rx) = mpsc::sync_channel::<WriteCmd>(queue_capacity);
+        let (writer_tx, writer_rx) = mpsc::sync_channel::<WriteCmd>(QUEUE_CAPACITY);
         let mut threads = Vec::new();
 
         {
@@ -679,7 +676,7 @@ fn op_status(shared: &Arc<Shared>) -> Value {
         "followers": Value::Array(followers),
         "queue": {
             "depth": shared.queue_depth.load(Ordering::SeqCst),
-            "capacity": shared.queue_capacity,
+            "capacity": QUEUE_CAPACITY,
         },
         "paused": shared.paused.load(Ordering::SeqCst),
         "broken": shared

@@ -1,4 +1,4 @@
-//! Columnar (SoA) row storage backing the vector indexes.
+//! Columnar (SoA) row storage backing the vector index.
 //!
 //! The original indexes stored `Vec<Record>` — every embedding its own
 //! heap allocation, so a scan was pointer-chasing and branch-bound. The
@@ -8,26 +8,23 @@
 //! kernel `Embedding::norm` uses, so a scan streams memory and skips the
 //! two redundant norm computations the old per-row `cosine` paid.
 
-use std::collections::HashMap;
-
 use allhands_embed::{cosine_from_parts, dot_slices, norm_slice, Embedding};
 
-use crate::{top_k, Filter, Record, SearchResult};
+use crate::{top_k, Record, SearchResult};
 
 /// Row stride granularity in f32 lanes: 16 floats = 64 bytes, one cache
 /// line, and a whole number of kernel lane-groups.
 const ROW_ALIGN: usize = 16;
 
-/// Columnar storage for one pool of records (a flat index, or one IVF
-/// partition). Slot order is insertion order and is load-bearing for the
-/// callers' id → slot maps; `swap_remove` mirrors `Vec::swap_remove`.
+/// Columnar storage for one pool of records (one IVF partition). Slot
+/// order is insertion order and is load-bearing for the caller's id → slot
+/// map; `swap_remove` mirrors `Vec::swap_remove`.
 #[derive(Debug, Clone)]
 pub(crate) struct RowPool {
     dims: usize,
     /// f32 row stride (dims rounded up to [`ROW_ALIGN`]).
     stride: usize,
     ids: Vec<u64>,
-    metas: Vec<HashMap<String, String>>,
     /// Contiguous vector slab; row `s` occupies `data[s*stride..][..dims]`,
     /// padding lanes stay zero.
     data: Vec<f32>,
@@ -42,7 +39,6 @@ impl RowPool {
             dims,
             stride: dims.div_ceil(ROW_ALIGN) * ROW_ALIGN,
             ids: Vec::new(),
-            metas: Vec::new(),
             data: Vec::new(),
             norms: Vec::new(),
         }
@@ -62,41 +58,19 @@ impl RowPool {
         &self.data[slot * self.stride..slot * self.stride + self.dims]
     }
 
-    /// The metadata of row `slot`.
-    pub fn meta(&self, slot: usize) -> &HashMap<String, String> {
-        &self.metas[slot]
-    }
-
     /// Reconstruct the owned record stored at `slot`.
     pub fn record(&self, slot: usize) -> Record {
-        Record {
-            id: self.ids[slot],
-            vector: Embedding::new(self.row(slot).to_vec()),
-            metadata: self.metas[slot].clone(),
-        }
+        Record::new(self.ids[slot], Embedding::new(self.row(slot).to_vec()))
     }
 
-    /// Append a record, returning its slot.
-    pub fn push(&mut self, record: Record) -> usize {
-        let slot = self.len();
-        self.ids.push(0);
-        self.metas.push(HashMap::new());
-        self.data.resize((slot + 1) * self.stride, 0.0);
-        self.norms.push(0.0);
-        self.fill(slot, record);
-        slot
-    }
-
-    /// Overwrite the record at an existing `slot` (upsert in place).
-    pub fn fill(&mut self, slot: usize, record: Record) {
-        let Record { id, vector, metadata } = record;
-        let vals = vector.as_slice();
+    /// Append a record at slot `len()`; its padding lanes stay zero.
+    pub fn push(&mut self, record: Record) {
+        let vals = record.vector.as_slice();
         assert_eq!(vals.len(), self.dims, "dimension mismatch");
-        self.ids[slot] = id;
-        self.metas[slot] = metadata;
-        let base = slot * self.stride;
-        self.data[base..base + self.dims].copy_from_slice(vals);
-        self.norms[slot] = norm_slice(vals);
+        self.ids.push(record.id);
+        self.data.extend_from_slice(vals);
+        self.data.resize(self.ids.len() * self.stride, 0.0);
+        self.norms.push(norm_slice(vals));
     }
 
     /// Remove row `slot`, moving the last row into its place. Returns the
@@ -108,7 +82,6 @@ impl RowPool {
         }
         self.data.truncate(last * self.stride);
         self.ids.swap_remove(slot);
-        self.metas.swap_remove(slot);
         self.norms.swap_remove(slot);
         if slot < self.len() {
             Some(self.ids[slot])
@@ -122,7 +95,6 @@ impl RowPool {
     pub fn take_records(&mut self) -> Vec<Record> {
         let out: Vec<Record> = (0..self.len()).map(|s| self.record(s)).collect();
         self.ids.clear();
-        self.metas.clear();
         self.data.clear();
         self.norms.clear();
         out
@@ -135,22 +107,16 @@ impl RowPool {
         cosine_from_parts(dot_slices(qvals, self.row(slot)), qnorm, self.norms[slot])
     }
 
-    /// Filter + score + top-k over the pool, in slot order.
-    pub fn scan_top_k(&self, query: &Embedding, k: usize, filter: &Filter) -> Vec<SearchResult> {
+    /// Score + top-k over the pool, in slot order.
+    pub fn scan_top_k(&self, query: &Embedding, k: usize) -> Vec<SearchResult> {
         let qvals = query.as_slice();
         assert_eq!(qvals.len(), self.dims, "dimension mismatch");
         let qnorm = norm_slice(qvals);
-        let mut candidates = Vec::with_capacity(self.len());
-        for slot in 0..self.len() {
-            if !filter.matches_meta(&self.metas[slot]) {
-                continue;
-            }
-            candidates.push(SearchResult {
-                id: self.ids[slot],
-                score: self.exact_score(slot, qvals, qnorm),
-            });
-        }
-        top_k(candidates, k)
+        let score = |slot| SearchResult {
+            id: self.ids[slot],
+            score: self.exact_score(slot, qvals, qnorm),
+        };
+        top_k((0..self.len()).map(score).collect(), k)
     }
 }
 
@@ -162,16 +128,12 @@ mod tests {
     fn pool_roundtrip_and_swap_remove() {
         let mut pool = RowPool::new(3);
         for i in 0..5u64 {
-            pool.push(
-                Record::new(i, Embedding::new(vec![i as f32, 1.0, -0.5]))
-                    .with_meta("k", &i.to_string()),
-            );
+            pool.push(Record::new(i, Embedding::new(vec![i as f32, 1.0, -0.5])));
         }
         assert_eq!(pool.len(), 5);
         let r2 = pool.record(2);
         assert_eq!(r2.id, 2);
         assert_eq!(r2.vector.as_slice(), &[2.0, 1.0, -0.5]);
-        assert_eq!(r2.metadata.get("k").map(String::as_str), Some("2"));
         // Norm is bit-identical to Embedding::norm.
         assert_eq!(pool.norms[2].to_bits(), r2.vector.norm().to_bits());
         // swap_remove moves the tail into the hole and reports its id.

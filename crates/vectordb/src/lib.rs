@@ -5,14 +5,10 @@
 //! similarity) to build in-context-learning prompts (Sec. 3.2), and again
 //! during human-in-the-loop topic refinement (Sec. 3.3.2).
 //!
-//! Two index types with one API:
-//! - [`FlatIndex`]: exact brute-force scan — the correctness baseline.
-//! - [`IvfIndex`]: inverted-file index over k-means partitions — the
-//!   realistic accuracy/latency trade-off, probing `nprobe` nearest
-//!   partitions.
-//!
-//! Both support metadata key/value filtering at query time (e.g. restrict
-//! retrieval to demonstrations from one dataset or label).
+//! One index type, [`IvfIndex`]. Untrained, it holds every record in one
+//! partition and a search is an exact brute-force scan. [`IvfIndex::train`]
+//! partitions it by k-means, and a search then probes the `nprobe` nearest
+//! partitions — the accuracy/latency trade-off.
 //!
 //! Storage is columnar: vectors live in a contiguous cache-aligned arena
 //! (see [`arena`](crate::arena) module docs) with precomputed norms, so
@@ -22,14 +18,13 @@
 //! # Example
 //!
 //! ```
-//! use allhands_vectordb::{FlatIndex, Record, VectorIndex};
+//! use allhands_vectordb::{IvfIndex, Record};
 //! use allhands_embed::Embedding;
 //!
-//! let mut index = FlatIndex::new(4);
-//! index.insert(Record::new(0, Embedding::new(vec![1.0, 0.0, 0.0, 0.0]))
-//!     .with_meta("label", "bug"));
-//! index.insert(Record::new(1, Embedding::new(vec![0.0, 1.0, 0.0, 0.0]))
-//!     .with_meta("label", "praise"));
+//! // Never trained: every search is an exact scan.
+//! let mut index = IvfIndex::new(4, 1);
+//! index.insert(Record::new(0, Embedding::new(vec![1.0, 0.0, 0.0, 0.0])));
+//! index.insert(Record::new(1, Embedding::new(vec![0.0, 1.0, 0.0, 0.0])));
 //!
 //! let hits = index.search(&Embedding::new(vec![0.9, 0.1, 0.0, 0.0]), 1);
 //! assert_eq!(hits[0].id, 0);
@@ -47,27 +42,19 @@ use allhands_obs::Recorder;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
-/// A stored record: id, embedding, and optional string metadata.
+/// A stored record: id and embedding.
 #[derive(Debug, Clone)]
 pub struct Record {
     /// Caller-assigned identifier (e.g. feedback row index).
     pub id: u64,
     /// The embedding vector.
     pub vector: Embedding,
-    /// Arbitrary key/value metadata used for filtered search.
-    pub metadata: HashMap<String, String>,
 }
 
 impl Record {
-    /// Create a record with empty metadata.
+    /// Create a record.
     pub fn new(id: u64, vector: Embedding) -> Self {
-        Record { id, vector, metadata: HashMap::new() }
-    }
-
-    /// Builder-style metadata attachment.
-    pub fn with_meta(mut self, key: &str, value: &str) -> Self {
-        self.metadata.insert(key.to_string(), value.to_string());
-        self
+        Record { id, vector }
     }
 }
 
@@ -78,71 +65,6 @@ pub struct SearchResult {
     pub id: u64,
     /// Cosine similarity to the query, in [-1, 1].
     pub score: f32,
-}
-
-/// A metadata predicate: all listed key/value pairs must match exactly.
-#[derive(Debug, Clone, Default)]
-pub struct Filter {
-    conditions: Vec<(String, String)>,
-}
-
-impl Filter {
-    /// The empty filter (matches everything).
-    pub fn none() -> Self {
-        Filter::default()
-    }
-
-    /// Require `key == value`.
-    pub fn must(mut self, key: &str, value: &str) -> Self {
-        self.conditions.push((key.to_string(), value.to_string()));
-        self
-    }
-
-    /// Does `record` satisfy all conditions?
-    pub fn matches(&self, record: &Record) -> bool {
-        self.matches_meta(&record.metadata)
-    }
-
-    /// Does a bare metadata map satisfy all conditions? (The columnar scan
-    /// path filters on metadata without materializing a [`Record`].)
-    pub fn matches_meta(&self, metadata: &HashMap<String, String>) -> bool {
-        self.conditions.iter().all(|(k, v)| metadata.get(k).is_some_and(|rv| rv == v))
-    }
-
-    /// True when the filter has no conditions.
-    pub fn is_empty(&self) -> bool {
-        self.conditions.is_empty()
-    }
-}
-
-/// Common interface of the vector indexes.
-pub trait VectorIndex {
-    /// Insert one record. Panics on dimension mismatch.
-    fn insert(&mut self, record: Record);
-
-    /// Exact or approximate top-`k` cosine search.
-    fn search(&self, query: &Embedding, k: usize) -> Vec<SearchResult> {
-        self.search_filtered(query, k, &Filter::none())
-    }
-
-    /// Top-`k` search restricted to records matching `filter`.
-    fn search_filtered(&self, query: &Embedding, k: usize, filter: &Filter) -> Vec<SearchResult>;
-
-    /// Number of stored records.
-    fn len(&self) -> usize;
-
-    /// True when empty.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Fetch a record by id, reconstructed (owned) from columnar storage.
-    fn get(&self, id: u64) -> Option<Record>;
-
-    /// Remove a record by id; returns whether it existed. Removal is a
-    /// mutation like insert: on [`IvfIndex`] it counts toward the staleness
-    /// ratio that triggers automatic retraining.
-    fn remove(&mut self, id: u64) -> bool;
 }
 
 /// Heap entry ordered worst-first (lower score, then larger id, compares
@@ -197,99 +119,14 @@ pub(crate) fn top_k(candidates: Vec<SearchResult>, k: usize) -> Vec<SearchResult
     heap.into_sorted_vec().into_iter().map(|e| e.0).collect()
 }
 
-/// Exact brute-force index over one columnar row pool.
-#[derive(Debug, Clone)]
-pub struct FlatIndex {
-    dims: usize,
-    pool: RowPool,
-    by_id: HashMap<u64, usize>,
-    rec: Recorder,
-}
-
-impl FlatIndex {
-    /// Create an empty index for `dims`-dimensional vectors.
-    pub fn new(dims: usize) -> Self {
-        assert!(dims > 0, "dims must be positive");
-        FlatIndex {
-            dims,
-            pool: RowPool::new(dims),
-            by_id: HashMap::new(),
-            rec: Recorder::disabled(),
-        }
-    }
-
-    /// Attach a metrics recorder (counts searches and scanned records).
-    pub fn set_recorder(&mut self, rec: Recorder) {
-        self.rec = rec;
-    }
-
-    /// Iterate all records (owned; reconstructed from columnar storage).
-    pub fn iter(&self) -> impl Iterator<Item = Record> + '_ {
-        (0..self.pool.len()).map(|slot| self.pool.record(slot))
-    }
-}
-
-impl VectorIndex for FlatIndex {
-    fn insert(&mut self, record: Record) {
-        assert_eq!(record.vector.dims(), self.dims, "dimension mismatch");
-        if let Some(&pos) = self.by_id.get(&record.id) {
-            self.pool.fill(pos, record); // upsert in place
-        } else {
-            self.by_id.insert(record.id, self.pool.len());
-            self.pool.push(record);
-        }
-    }
-
-    fn search_filtered(&self, query: &Embedding, k: usize, filter: &Filter) -> Vec<SearchResult> {
-        assert_eq!(query.dims(), self.dims, "dimension mismatch");
-        self.rec.incr("vectordb.searches.flat");
-        self.rec.add("vectordb.scanned.flat", self.pool.len() as u64);
-        self.rec.observe("vectordb.pool_size", self.pool.len() as u64);
-        self.pool.scan_top_k(query, k, filter)
-    }
-
-    fn len(&self) -> usize {
-        self.pool.len()
-    }
-
-    fn get(&self, id: u64) -> Option<Record> {
-        self.by_id.get(&id).map(|&pos| self.pool.record(pos))
-    }
-
-    fn remove(&mut self, id: u64) -> bool {
-        match self.by_id.remove(&id) {
-            Some(pos) => {
-                if let Some(moved) = self.pool.swap_remove(pos) {
-                    self.by_id.insert(moved, pos);
-                }
-                true
-            }
-            None => false,
-        }
-    }
-}
-
-/// One serialized metadata pair. The serde derive shim has no tuple
-/// support, and emitting pairs sorted by key keeps the serialized form
-/// deterministic regardless of `HashMap` iteration order.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct MetaPair {
-    /// Metadata key.
-    pub key: String,
-    /// Metadata value.
-    pub value: String,
-}
-
-/// Layout entry of one stored [`Record`]: its id and metadata, without
-/// the vector. The index owner supplies vectors by id on restore (see
+/// Layout entry of one stored [`Record`]: its id, without the vector.
+/// The index owner supplies vectors by id on restore (see
 /// [`IvfIndex::from_state`]), so a layout stays a few bytes per record
 /// however wide the embeddings are.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RecordState {
     /// Caller-assigned identifier.
     pub id: u64,
-    /// Metadata pairs, sorted by key.
-    pub metadata: Vec<MetaPair>,
 }
 
 /// The layout of an [`IvfIndex`]: centroids, each partition's records *in
@@ -357,9 +194,11 @@ impl std::error::Error for StateError {}
 /// Inverted-file (IVF) index: records are partitioned by k-means over a
 /// training sample; queries probe the `nprobe` nearest partitions.
 ///
-/// Until [`IvfIndex::train`] is called (or before `train_threshold` records
-/// exist), searches fall back to an exact scan, so the index is always
-/// correct — training only changes the speed/recall trade-off.
+/// While untrained — before the first [`train`](IvfIndex::train), or after
+/// a `train` call that found too few records — the index keeps one
+/// partition and a search is an exact scan: the ids, order and score bits
+/// of a brute-force scan over the records. Training only changes the
+/// speed/recall trade-off.
 #[derive(Debug, Clone)]
 pub struct IvfIndex {
     dims: usize,
@@ -393,7 +232,7 @@ impl IvfIndex {
     /// retrains (see [`IvfIndex::set_retrain_policy`]).
     pub const DEFAULT_RETRAIN_STALENESS: f32 = 0.5;
 
-    /// Create an untrained IVF index.
+    /// Create an untrained index: one partition, searched exactly.
     pub fn new(dims: usize, nprobe: usize) -> Self {
         assert!(dims > 0, "dims must be positive");
         IvfIndex {
@@ -420,15 +259,6 @@ impl IvfIndex {
     /// Record vectors are left out: the owner keeps them and hands them
     /// back to [`from_state`](Self::from_state).
     pub fn to_state(&self) -> IvfState {
-        let layout = |p: &RowPool, slot: usize| {
-            let mut metadata: Vec<MetaPair> = p
-                .meta(slot)
-                .iter()
-                .map(|(key, value)| MetaPair { key: key.clone(), value: value.clone() })
-                .collect();
-            metadata.sort_by(|a, b| a.key.cmp(&b.key));
-            RecordState { id: p.id(slot), metadata }
-        };
         IvfState {
             dims: self.dims as u64,
             nprobe: self.nprobe as u64,
@@ -437,7 +267,7 @@ impl IvfIndex {
             partitions: self
                 .partitions
                 .iter()
-                .map(|p| (0..p.len()).map(|slot| layout(p, slot)).collect())
+                .map(|p| (0..p.len()).map(|slot| RecordState { id: p.id(slot) }).collect())
                 .collect(),
             target_partitions: self.target_partitions as u64,
             mutations: self.mutations as u64,
@@ -485,8 +315,7 @@ impl IvfIndex {
                 if by_id.insert(r.id, (p, pool.len())).is_some() {
                     return Err(StateError::DuplicateId(r.id));
                 }
-                let metadata = r.metadata.into_iter().map(|m| (m.key, m.value)).collect();
-                pool.push(Record { id: r.id, vector: vector.clone(), metadata });
+                pool.push(Record::new(r.id, vector.clone()));
             }
             partitions.push(pool);
         }
@@ -603,7 +432,7 @@ impl IvfIndex {
     ///
     /// `(distance asc, partition index asc)` is a total order (`total_cmp`
     /// handles NaN distances; the index breaks exact ties), so assignment
-    /// agrees with the probe ranking in `search_filtered`. Without the
+    /// agrees with the probe ranking in `search`. Without the
     /// explicit tie-break the two diverge: `min_by` keeps the *last* of
     /// equal minima while a stable sort keeps the *first*, so a record at a
     /// point equidistant from two centroids would be stored in one
@@ -630,10 +459,9 @@ impl IvfIndex {
     pub fn n_partitions(&self) -> usize {
         self.partitions.len()
     }
-}
 
-impl VectorIndex for IvfIndex {
-    fn insert(&mut self, record: Record) {
+    /// Insert one record. Panics on dimension mismatch.
+    pub fn insert(&mut self, record: Record) {
         assert_eq!(record.vector.dims(), self.dims, "dimension mismatch");
         // Upsert: the new vector may belong to a different partition than
         // the old one, so remove the stale entry first.
@@ -650,7 +478,8 @@ impl VectorIndex for IvfIndex {
         self.maybe_retrain();
     }
 
-    fn search_filtered(&self, query: &Embedding, k: usize, filter: &Filter) -> Vec<SearchResult> {
+    /// Exact or approximate top-`k` cosine search.
+    pub fn search(&self, query: &Embedding, k: usize) -> Vec<SearchResult> {
         assert_eq!(query.dims(), self.dims, "dimension mismatch");
         let probe: Vec<usize> = if self.centroids.is_empty() {
             (0..self.partitions.len()).collect()
@@ -677,20 +506,30 @@ impl VectorIndex for IvfIndex {
         // concatenation under the `(score desc, id asc)` total order.
         let mut partials = Vec::new();
         for p in probe {
-            partials.extend(self.partitions[p].scan_top_k(query, k, filter));
+            partials.extend(self.partitions[p].scan_top_k(query, k));
         }
         top_k(partials, k)
     }
 
-    fn len(&self) -> usize {
+    /// Number of stored records.
+    pub fn len(&self) -> usize {
         self.by_id.len()
     }
 
-    fn get(&self, id: u64) -> Option<Record> {
+    /// True when empty.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Fetch a record by id, reconstructed (owned) from columnar storage.
+    pub fn get(&self, id: u64) -> Option<Record> {
         self.by_id.get(&id).map(|&(p, o)| self.partitions[p].record(o))
     }
 
-    fn remove(&mut self, id: u64) -> bool {
+    /// Remove a record by id; returns whether it existed. Removal is a
+    /// mutation like insert: it counts toward the staleness ratio that
+    /// triggers automatic retraining.
+    pub fn remove(&mut self, id: u64) -> bool {
         match self.by_id.remove(&id) {
             Some((p, o)) => {
                 if let Some(moved) = self.partitions[p].swap_remove(o) {
@@ -714,8 +553,8 @@ mod tests {
     }
 
     #[test]
-    fn flat_exact_topk() {
-        let mut idx = FlatIndex::new(2);
+    fn untrained_exact_topk() {
+        let mut idx = IvfIndex::new(2, 1);
         idx.insert(Record::new(0, vec2(1.0, 0.0)));
         idx.insert(Record::new(1, vec2(0.0, 1.0)));
         idx.insert(Record::new(2, vec2(0.7, 0.7)));
@@ -725,8 +564,8 @@ mod tests {
     }
 
     #[test]
-    fn flat_upsert_and_remove() {
-        let mut idx = FlatIndex::new(2);
+    fn untrained_upsert_and_remove() {
+        let mut idx = IvfIndex::new(2, 1);
         idx.insert(Record::new(7, vec2(1.0, 0.0)));
         idx.insert(Record::new(7, vec2(0.0, 1.0))); // upsert
         assert_eq!(idx.len(), 1);
@@ -738,44 +577,18 @@ mod tests {
     }
 
     #[test]
-    fn metadata_filter() {
-        let mut idx = FlatIndex::new(2);
-        idx.insert(Record::new(0, vec2(1.0, 0.0)).with_meta("label", "bug"));
-        idx.insert(Record::new(1, vec2(0.99, 0.01)).with_meta("label", "praise"));
-        let f = Filter::none().must("label", "praise");
-        let hits = idx.search_filtered(&vec2(1.0, 0.0), 5, &f);
-        assert_eq!(hits.len(), 1);
-        assert_eq!(hits[0].id, 1);
-    }
-
-    #[test]
-    fn ivf_untrained_equals_flat() {
-        let mut flat = FlatIndex::new(2);
-        let mut ivf = IvfIndex::new(2, 1);
-        for i in 0..20u64 {
-            let v = vec2((i as f32).cos(), (i as f32).sin());
-            flat.insert(Record::new(i, v.clone()));
-            ivf.insert(Record::new(i, v));
-        }
-        let q = vec2(0.5, 0.5);
-        assert_eq!(flat.search(&q, 5), ivf.search(&q, 5));
-    }
-
-    #[test]
     fn ivf_trained_high_recall_with_enough_probes() {
         let mut ivf = IvfIndex::new(2, 4);
-        let mut flat = FlatIndex::new(2);
         for i in 0..200u64 {
             let angle = i as f32 * 0.031_415;
-            let v = vec2(angle.cos(), angle.sin());
-            ivf.insert(Record::new(i, v.clone()));
-            flat.insert(Record::new(i, v));
+            ivf.insert(Record::new(i, vec2(angle.cos(), angle.sin())));
         }
+        let untrained = ivf.clone();
         ivf.train(4);
         assert!(ivf.is_trained());
         assert_eq!(ivf.len(), 200);
         let q = vec2(0.9, 0.43);
-        let exact: Vec<u64> = flat.search(&q, 10).into_iter().map(|r| r.id).collect();
+        let exact: Vec<u64> = untrained.search(&q, 10).into_iter().map(|r| r.id).collect();
         let approx: Vec<u64> = ivf.search(&q, 10).into_iter().map(|r| r.id).collect();
         let recall = approx.iter().filter(|id| exact.contains(id)).count();
         assert!(recall >= 8, "recall {recall}/10 too low");
@@ -798,7 +611,7 @@ mod tests {
 
     #[test]
     fn ties_break_by_id() {
-        let mut idx = FlatIndex::new(2);
+        let mut idx = IvfIndex::new(2, 1);
         idx.insert(Record::new(5, vec2(1.0, 0.0)));
         idx.insert(Record::new(3, vec2(1.0, 0.0)));
         let hits = idx.search(&vec2(1.0, 0.0), 2);
@@ -825,11 +638,7 @@ mod tests {
         idx.set_retrain_policy(Some(0.1));
         for i in 0..3000u64 {
             let v = rand_vec(&mut rng);
-            idx.insert(
-                Record::new(i, v.clone())
-                    .with_meta("label", if i % 2 == 0 { "even" } else { "odd" })
-                    .with_meta("src", "test"),
-            );
+            idx.insert(Record::new(i, v.clone()));
             vectors.insert(i, v);
         }
         idx.train(2);
@@ -858,18 +667,11 @@ mod tests {
                 assert_eq!(bits(a.row(slot)), bits(b.row(slot)), "partition {p} slot {slot}");
             }
         }
-        // Identical structure ⇒ identical search results, filtered or not…
-        let filter = Filter::none().must("label", "odd");
+        // Identical structure ⇒ identical search results…
         let queries = [rand_vec(&mut rng), rand_vec(&mut rng), Embedding::new(vec![0.25; dims])];
         for (qi, q) in queries.iter().enumerate() {
             for k in [1usize, 10, 50] {
-                let ctx = format!("q{qi} k{k}");
-                assert_same_hits(&idx.search(q, k), &restored.search(q, k), &ctx);
-                assert_same_hits(
-                    &idx.search_filtered(q, k, &filter),
-                    &restored.search_filtered(q, k, &filter),
-                    &ctx,
-                );
+                assert_same_hits(&idx.search(q, k), &restored.search(q, k), &format!("q{qi} k{k}"));
             }
         }
         // …and identical behavior under further mutations (auto-retrain
@@ -948,7 +750,7 @@ mod tests {
 
     #[test]
     fn k_larger_than_len() {
-        let mut idx = FlatIndex::new(2);
+        let mut idx = IvfIndex::new(2, 1);
         idx.insert(Record::new(0, vec2(1.0, 0.0)));
         assert_eq!(idx.search(&vec2(1.0, 0.0), 10).len(), 1);
     }
@@ -956,7 +758,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "dimension mismatch")]
     fn insert_wrong_dims_panics() {
-        let mut idx = FlatIndex::new(3);
+        let mut idx = IvfIndex::new(3, 1);
         idx.insert(Record::new(0, vec2(1.0, 0.0)));
     }
 
@@ -998,35 +800,28 @@ mod tests {
         }
     }
 
-    /// Searches return byte-identical hits at every thread count, for both
-    /// index types. IVF training runs k-means on the worker pool, so each
-    /// thread count trains its own copy of the index.
+    /// Searches return byte-identical hits at every thread count, trained
+    /// or not. Training runs k-means on the worker pool, so each thread
+    /// count trains its own copy of the index.
     #[test]
     fn parallel_scan_identical_across_thread_counts() {
         use rand::Rng;
         use rand_chacha::rand_core::SeedableRng;
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(5);
         let n = 5_000;
-        let mut flat = FlatIndex::new(4);
-        let mut ivf = IvfIndex::new(4, 2);
+        let mut records = Vec::with_capacity(n);
+        let mut untrained = IvfIndex::new(4, 2);
         for i in 0..n as u64 {
             let v = Embedding::new((0..4).map(|_| rng.gen_range(-1.0f32..1.0)).collect());
-            let label = if i % 3 == 0 { "bug" } else { "other" };
-            flat.insert(Record::new(i, v.clone()).with_meta("label", label));
-            ivf.insert(Record::new(i, v).with_meta("label", label));
+            records.push(Record::new(i, v.clone()));
+            untrained.insert(Record::new(i, v));
         }
         let query = Embedding::new(vec![0.3, -0.2, 0.9, 0.1]);
-        let filter = Filter::none().must("label", "bug");
         let run = |threads: usize| {
             allhands_par::with_threads(threads, || {
-                let mut ivf = ivf.clone();
+                let mut ivf = untrained.clone();
                 ivf.train(8);
-                (
-                    flat.search(&query, 12),
-                    flat.search_filtered(&query, 12, &filter),
-                    ivf.search(&query, 12),
-                    ivf.to_state(),
-                )
+                (untrained.search(&query, 12), ivf.search(&query, 12), ivf.to_state())
             })
         };
         let serial = run(1);
@@ -1037,7 +832,8 @@ mod tests {
         // representation (owned records, per-row cosine): the golden
         // before/after-arena equality check.
         let oracle = top_k_by_sort(
-            flat.iter()
+            records
+                .iter()
                 .map(|r| SearchResult { id: r.id, score: query.cosine(&r.vector) })
                 .collect(),
             12,
@@ -1080,28 +876,29 @@ mod tests {
     }
 
     /// NaN-bearing vectors must not destabilize assignment or ranking:
-    /// searches stay deterministic and keep matching the flat oracle.
+    /// searches stay deterministic and keep matching the exact scan of an
+    /// untrained index.
     #[test]
-    fn nan_vectors_keep_total_order_and_match_flat() {
-        let mut flat = FlatIndex::new(2);
+    fn nan_vectors_keep_total_order_and_match_exact() {
+        let mut exact = IvfIndex::new(2, 1);
         // nprobe >= partition count: IVF probes everything, so any result
         // difference can only come from ordering, not from recall.
         let mut ivf = IvfIndex::new(2, 8);
         for i in 0..60u64 {
             let angle = i as f32 * 0.1;
             let v = vec2(angle.cos(), angle.sin());
-            flat.insert(Record::new(i, v.clone()));
+            exact.insert(Record::new(i, v.clone()));
             ivf.insert(Record::new(i, v));
         }
         ivf.train(4);
         let poisoned = vec2(f32::NAN, 0.5);
-        flat.insert(Record::new(500, poisoned.clone()));
+        exact.insert(Record::new(500, poisoned.clone()));
         ivf.insert(Record::new(500, poisoned));
         assert!(ivf.get(500).is_some(), "NaN vector must still be stored and retrievable");
         for (qi, q) in [vec2(1.0, 0.2), vec2(-0.3, 0.9), vec2(f32::NAN, 1.0)].iter().enumerate() {
-            let f = flat.search(q, 5);
+            let e = exact.search(q, 5);
             let v = ivf.search(q, 5);
-            assert_same_hits(&f, &v, &format!("query {qi}"));
+            assert_same_hits(&e, &v, &format!("query {qi}"));
             // Total order ⇒ repeat searches are byte-identical.
             let again = ivf.search(q, 5);
             assert_same_hits(&v, &again, &format!("query {qi} repeat"));
@@ -1110,7 +907,7 @@ mod tests {
         // routed deterministically afterwards.
         ivf.train(4);
         assert!(ivf.get(500).is_some());
-        assert_same_hits(&flat.search(&vec2(1.0, 0.2), 5), &ivf.search(&vec2(1.0, 0.2), 5), "post-retrain");
+        assert_same_hits(&exact.search(&vec2(1.0, 0.2), 5), &ivf.search(&vec2(1.0, 0.2), 5), "post-retrain");
     }
 
     /// `k` can arrive straight from a client: a `k` far beyond the row
@@ -1120,19 +917,18 @@ mod tests {
     #[test]
     fn huge_k_returns_every_row() {
         let n = 1_100u64;
-        let mut flat = FlatIndex::new(8);
-        // nprobe >= partition count: the trained IVF probes every row.
-        let mut ivf = IvfIndex::new(8, 8);
+        // nprobe >= partition count: the trained index probes every row.
+        let mut untrained = IvfIndex::new(8, 8);
         for i in 0..n {
             let v = Embedding::new((0..8).map(|d| ((i * 8 + d) as f32 * 0.37).sin()).collect());
-            flat.insert(Record::new(i, v.clone()));
-            ivf.insert(Record::new(i, v));
+            untrained.insert(Record::new(i, v));
         }
+        let mut ivf = untrained.clone();
         ivf.train(4);
         assert!(ivf.is_trained());
         let q = Embedding::new((0..8).map(|d| (d as f32 * 0.61).cos()).collect());
         for k in [1usize << 40, usize::MAX] {
-            for (name, index) in [("flat", &flat as &dyn VectorIndex), ("ivf", &ivf)] {
+            for (name, index) in [("untrained", &untrained), ("ivf", &ivf)] {
                 let hits = index.search(&q, k);
                 assert_eq!(hits.len(), n as usize, "{name} k={k}");
                 assert_same_hits(&hits, &index.search(&q, n as usize), &format!("{name} k={k}"));
@@ -1158,21 +954,20 @@ mod tests {
         let moved = ivf.get(4).expect("moved tail record lost");
         assert_eq!(moved.id, 4);
         assert!((moved.vector.as_slice()[0] - (4.0f32).cos()).abs() < 1e-6);
-        // And on a trained index, through the trait object.
+        // And on a trained index.
         let mut trained = IvfIndex::new(2, 2);
         for i in 0..40u64 {
             let v = if i % 2 == 0 { vec2(1.0, i as f32 * 0.01) } else { vec2(-1.0, i as f32 * 0.01) };
             trained.insert(Record::new(i, v));
         }
         trained.train(2);
-        let index: &mut dyn VectorIndex = &mut trained;
-        assert!(index.remove(0));
-        assert!(index.get(0).is_none());
-        assert_eq!(index.len(), 39);
+        assert!(trained.remove(0));
+        assert!(trained.get(0).is_none());
+        assert_eq!(trained.len(), 39);
         for i in 1..40u64 {
-            assert_eq!(index.get(i).expect("survivor lost").id, i);
+            assert_eq!(trained.get(i).expect("survivor lost").id, i);
         }
-        assert!(index.search(&vec2(1.0, 0.0), 40).iter().all(|h| h.id != 0));
+        assert!(trained.search(&vec2(1.0, 0.0), 40).iter().all(|h| h.id != 0));
     }
 
     /// Upsert where the new vector stays in the *same* partition as the old
@@ -1247,22 +1042,24 @@ mod tests {
 
     /// Acceptance fixture: a seeded (insert, upsert, remove) stream with
     /// auto-retrains firing along the way — plus NaN and exactly-tied
-    /// vectors — must keep IVF search results identical to a FlatIndex
-    /// oracle fed the same mutations (nprobe covers all partitions, so
-    /// the comparison isolates ordering and bookkeeping, not recall).
+    /// vectors — must keep IVF search results identical to an untrained
+    /// (exact-scan) oracle fed the same mutations (nprobe covers all
+    /// partitions, so the comparison isolates ordering and bookkeeping,
+    /// not recall). The oracle never calls `train`, so it never
+    /// auto-retrains either.
     #[test]
-    fn ivf_matches_flat_oracle_through_mutation_sequences() {
+    fn ivf_matches_exact_oracle_through_mutation_sequences() {
         use rand::Rng;
         use rand_chacha::rand_core::SeedableRng;
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(77);
-        let mut flat = FlatIndex::new(3);
+        let mut exact = IvfIndex::new(3, 1);
         let mut ivf = IvfIndex::new(3, 64);
         let rand_vec = |rng: &mut rand_chacha::ChaCha8Rng| {
             Embedding::new((0..3).map(|_| rng.gen_range(-1.0f32..1.0)).collect())
         };
         for i in 0..300u64 {
             let v = rand_vec(&mut rng);
-            flat.insert(Record::new(i, v.clone()));
+            exact.insert(Record::new(i, v.clone()));
             ivf.insert(Record::new(i, v));
         }
         ivf.train(6);
@@ -1270,11 +1067,11 @@ mod tests {
         // record ride along through the whole stream.
         for id in [800u64, 801, 802] {
             let v = Embedding::new(vec![0.5, -0.5, 0.5]);
-            flat.insert(Record::new(id, v.clone()));
+            exact.insert(Record::new(id, v.clone()));
             ivf.insert(Record::new(id, v));
         }
         let nan = Embedding::new(vec![f32::NAN, 0.1, 0.2]);
-        flat.insert(Record::new(900, nan.clone()));
+        exact.insert(Record::new(900, nan.clone()));
         ivf.insert(Record::new(900, nan));
         let mut next_id = 301u64;
         let mut live: Vec<u64> = (0..300).chain([800, 801, 802, 900]).collect();
@@ -1282,7 +1079,7 @@ mod tests {
             match rng.gen_range(0..3usize) {
                 0 => {
                     let v = rand_vec(&mut rng);
-                    flat.insert(Record::new(next_id, v.clone()));
+                    exact.insert(Record::new(next_id, v.clone()));
                     ivf.insert(Record::new(next_id, v));
                     live.push(next_id);
                     next_id += 1;
@@ -1290,21 +1087,22 @@ mod tests {
                 1 => {
                     let id = live[rng.gen_range(0..live.len())];
                     let v = rand_vec(&mut rng);
-                    flat.insert(Record::new(id, v.clone()));
+                    exact.insert(Record::new(id, v.clone()));
                     ivf.insert(Record::new(id, v));
                 }
                 _ => {
                     let id = live.swap_remove(rng.gen_range(0..live.len()));
-                    assert_eq!(flat.remove(id), ivf.remove(id), "step {step} id {id}");
+                    assert_eq!(exact.remove(id), ivf.remove(id), "step {step} id {id}");
                 }
             }
-            assert_eq!(flat.len(), ivf.len(), "step {step}");
+            assert_eq!(exact.len(), ivf.len(), "step {step}");
             if step % 50 == 0 {
                 let q = rand_vec(&mut rng);
-                assert_same_hits(&flat.search(&q, 12), &ivf.search(&q, 12), &format!("step {step}"));
+                assert_same_hits(&exact.search(&q, 12), &ivf.search(&q, 12), &format!("step {step}"));
             }
         }
         assert!(ivf.train_count() >= 2, "mutation stream should have auto-retrained");
+        assert!(!exact.is_trained());
         for (qi, q) in [
             Embedding::new(vec![0.5, -0.5, 0.5]),
             Embedding::new(vec![f32::NAN, 0.0, 0.0]),
@@ -1313,7 +1111,8 @@ mod tests {
         .iter()
         .enumerate()
         {
-            assert_same_hits(&flat.search(q, 20), &ivf.search(q, 20), &format!("final query {qi}"));
+            let ctx = format!("final query {qi}");
+            assert_same_hits(&exact.search(q, 20), &ivf.search(q, 20), &ctx);
         }
     }
 }

@@ -1,12 +1,14 @@
 //! Property test for the arena scan: the columnar `RowPool` scan behind
-//! both index types must return *exactly* the hits of the pre-arena
-//! reference scan (owned records, per-row `cosine`, full sort) — same ids,
-//! same order, same score bits — across random vectors, exact ties,
-//! filters, and every k. This file is the golden before/after equality
-//! check for the arena refactor.
+//! the index must return *exactly* the hits of the pre-arena reference
+//! scan (owned records, per-row `cosine`, full sort) — same ids, same
+//! order, same score bits — across random vectors, exact ties, and every
+//! k, both untrained (one partition, an exact scan) and trained with
+//! `nprobe` covering every partition. This file is the golden before/after
+//! equality check for the arena refactor, and the oracle that pins an
+//! untrained index to the exact scan.
 
 use allhands_embed::Embedding;
-use allhands_vectordb::{Filter, FlatIndex, IvfIndex, Record, SearchResult, VectorIndex};
+use allhands_vectordb::{IvfIndex, Record, SearchResult};
 use proptest::prelude::*;
 use rand::Rng;
 use rand_chacha::rand_core::SeedableRng;
@@ -14,15 +16,9 @@ use rand_chacha::ChaCha8Rng;
 
 /// The pre-arena scan, verbatim in spirit: walk owned records, score each
 /// with `Embedding::cosine`, full-sort by `(score desc, id asc)`.
-fn reference_scan(
-    records: &[Record],
-    query: &Embedding,
-    k: usize,
-    filter: &Filter,
-) -> Vec<SearchResult> {
+fn reference_scan(records: &[Record], query: &Embedding, k: usize) -> Vec<SearchResult> {
     let mut scored: Vec<SearchResult> = records
         .iter()
-        .filter(|r| filter.matches(r))
         .map(|r| SearchResult { id: r.id, score: query.cosine(&r.vector) })
         .collect();
     scored.sort_by(|a, b| b.score.total_cmp(&a.score).then(a.id.cmp(&b.id)));
@@ -59,41 +55,34 @@ proptest! {
         let mut records: Vec<Record> = Vec::with_capacity(n + ties);
         for i in 0..n as u64 {
             let v = Embedding::new((0..dims).map(|_| rng.gen_range(-spread..spread)).collect());
-            let label = ["bug", "praise", "other"][(i % 3) as usize];
-            records.push(Record::new(i, v).with_meta("label", label));
+            records.push(Record::new(i, v));
         }
         // Exact ties: duplicate existing vectors under fresh ids, so the
         // (score desc, id asc) tie-break is exercised every case.
         for t in 0..ties {
             let src = rng.gen_range(0..records.len());
-            let dup = Record::new((n + t) as u64, records[src].vector.clone())
-                .with_meta("label", "bug");
-            records.push(dup);
+            records.push(Record::new((n + t) as u64, records[src].vector.clone()));
         }
 
-        let mut flat = FlatIndex::new(dims);
-        // nprobe covers every partition, so the IVF search is exact too and
-        // checks the per-partition top-k merge.
-        let mut ivf = IvfIndex::new(dims, 4);
+        // nprobe covers every partition, so the trained search is exact too
+        // and checks the per-partition top-k merge.
+        let mut untrained = IvfIndex::new(dims, 4);
         for r in &records {
-            flat.insert(r.clone());
-            ivf.insert(r.clone());
+            untrained.insert(r.clone());
         }
-        ivf.train(4);
+        let mut trained = untrained.clone();
+        trained.train(4);
 
         let queries = [
             Embedding::new((0..dims).map(|_| rng.gen_range(-spread..spread)).collect()),
             // A query colliding exactly with a stored row: perfect-score ties.
             records[rng.gen_range(0..records.len())].vector.clone(),
         ];
-        let filters = [Filter::none(), Filter::none().must("label", "bug")];
         for (qi, q) in queries.iter().enumerate() {
-            for (fi, f) in filters.iter().enumerate() {
-                let ctx = format!("seed={seed} n={n} dims={dims} k={k} q{qi} f{fi}");
-                let reference = reference_scan(&records, q, k, f);
-                assert_same_hits(&reference, &flat.search_filtered(q, k, f), &format!("{ctx} flat"));
-                assert_same_hits(&reference, &ivf.search_filtered(q, k, f), &format!("{ctx} ivf"));
-            }
+            let ctx = format!("seed={seed} n={n} dims={dims} k={k} q{qi}");
+            let reference = reference_scan(&records, q, k);
+            assert_same_hits(&reference, &untrained.search(q, k), &format!("{ctx} untrained"));
+            assert_same_hits(&reference, &trained.search(q, k), &format!("{ctx} trained"));
         }
     }
 }

@@ -19,7 +19,10 @@
 #   --ingest-smoke  the incremental-ingestion suite (batch byte-identity
 #                   across thread counts and chaos, crash at every ingest
 #                   seam + resume, span/counter shape, the search/retract
-#                   facade).
+#                   facade) and the vectordb crate's own tests: the
+#                   reference-scan oracle for the index behind
+#                   demonstration retrieval and the session's document
+#                   index.
 #   --checkpoint-smoke
 #                   the checkpoint/compaction/recovery suite (checkpoint ->
 #                   compact -> kill -> recover cycle at every seam,
@@ -99,8 +102,9 @@ if [[ "$obs_smoke" == 1 ]]; then
 fi
 
 if [[ "$ingest_smoke" == 1 ]]; then
-  echo "==> ingest smoke (batch determinism, crash resume, index maintenance)"
+  echo "==> ingest smoke (batch determinism, crash resume, index maintenance, vectordb crate)"
   cargo test -q --test ingest_determinism
+  cargo test -q -p allhands-vectordb
 fi
 
 if [[ "$checkpoint_smoke" == 1 ]]; then

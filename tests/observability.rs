@@ -3,8 +3,6 @@
 //! - deterministic metrics (counters, histograms, meta, span-tree shape) are
 //!   byte-identical across thread counts, clean AND under 30% chaos;
 //! - the span tree of a known run has a pinned shape;
-//! - spelling the durability policy out via `.ingest_config()` /
-//!   `.checkpoints()` is byte-identical to the defaults;
 //! - a disabled recorder (the default) yields an empty report;
 //! - `JournalMode::Fresh` refuses a journal that already has entries.
 
@@ -114,34 +112,6 @@ fn span_tree_shape_is_pinned() {
         "qa > question[2] > execute[0]",
     ];
     assert_eq!(paths, expected, "span tree shape drifted");
-}
-
-#[test]
-fn explicit_policy_builder_methods_match_the_defaults() {
-    let _g = OVERRIDE_GUARD.lock().unwrap_or_else(|p| p.into_inner());
-    let (texts, labeled, predefined) = corpus(40);
-    // Spelling the default durability policy out through the dedicated
-    // builder methods must be byte-identical to relying on the defaults —
-    // including the run fingerprint, which pins the policy.
-    let run = |explicit: bool| -> String {
-        let builder = AllHands::builder(ModelTier::Gpt4);
-        let builder = if explicit {
-            builder
-                .ingest_config(IngestConfig::default())
-                .checkpoints(CheckpointPolicy::default())
-        } else {
-            builder
-        };
-        let (mut ah, frame) =
-            builder.analyze(&texts, &labeled, &predefined).expect("builder run failed");
-        let mut out = frame.to_table_string(200);
-        for q in QUESTIONS {
-            out.push_str(&ah.ask(q).expect("ask failed").render());
-        }
-        out.push_str(&ah.quarantine_report().to_string());
-        out
-    };
-    assert_eq!(run(false), run(true), "explicit-policy builder diverged from defaults");
 }
 
 #[test]

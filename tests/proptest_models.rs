@@ -5,7 +5,7 @@ use allhands::embed::{EmbedderConfig, Embedding, SentenceEmbedder};
 use allhands::topics::corpus::Corpus;
 use allhands::topics::lda::{fit_lda, LdaConfig};
 use allhands::topics::{agglomerative_clusters, Linkage};
-use allhands::vectordb::{kmeans, FlatIndex, IvfIndex, Record, VectorIndex};
+use allhands::vectordb::{kmeans, IvfIndex, Record};
 use proptest::prelude::*;
 
 fn arb_texts() -> impl Strategy<Value = Vec<String>> {
@@ -103,7 +103,8 @@ proptest! {
         ),
         k in 1usize..10,
     ) {
-        let mut index = FlatIndex::new(4);
+        // Never trained, so every search is an exact scan.
+        let mut index = IvfIndex::new(4, 1);
         for (i, v) in vecs.iter().enumerate() {
             index.insert(Record::new(i as u64, Embedding::new(v.clone())));
         }

@@ -4,7 +4,7 @@
 use allhands::dataframe::{Column, ColumnData, DataFrame, JoinKind, Value};
 use allhands::llm::codegen::{build_program, SchemaInfo};
 use allhands::query::{Session, SessionLimits};
-use allhands::vectordb::{IvfIndex, Record, VectorIndex};
+use allhands::vectordb::{IvfIndex, Record};
 use std::collections::HashMap;
 
 fn schema() -> SchemaInfo {
