@@ -34,7 +34,7 @@ pub use hashing::{hash64, mix64};
 pub use vector::{cosine_from_parts, dot_slices, norm_slice, sq_dist_slices, Embedding};
 
 use allhands_obs::Recorder;
-use allhands_text::{char_ngrams, detect_language, light_preprocess, Language};
+use allhands_text::{char_ngrams, light_preprocess};
 use std::collections::HashMap;
 
 /// Configuration for [`SentenceEmbedder`].
@@ -66,18 +66,6 @@ impl Default for EmbedderConfig {
             sif_a: 1e-3,
             seed: 0x5EED_A114_A4D5,
         }
-    }
-}
-
-impl EmbedderConfig {
-    /// A compact, word-only configuration (the "small model" tier).
-    pub fn small() -> Self {
-        EmbedderConfig { dims: 128, use_bigrams: false, char_ngram: 0, ..Self::default() }
-    }
-
-    /// A rich configuration (the "large model" tier).
-    pub fn large() -> Self {
-        EmbedderConfig { dims: 512, char_ngram: 3, ..Self::default() }
     }
 }
 
@@ -305,59 +293,6 @@ impl<'a> EmbedMemo<'a> {
     }
 }
 
-/// A multilingual embedder: routes text through diacritic folding and adds a
-/// language tag feature, so that translations of the same complaint overlap
-/// via shared char-n-grams and cognates while languages remain separable.
-///
-/// Stands in for XLM-R-style multilingual encoders.
-#[derive(Debug, Clone)]
-pub struct MultilingualEmbedder {
-    inner: SentenceEmbedder,
-    /// How strongly the detected-language feature pulls same-language texts
-    /// together (0 disables).
-    pub lang_weight: f32,
-}
-
-impl MultilingualEmbedder {
-    /// Create a multilingual embedder; `config.char_ngram` should be ≥ 3
-    /// for useful cross-lingual overlap.
-    pub fn new(mut config: EmbedderConfig) -> Self {
-        if config.char_ngram == 0 {
-            config.char_ngram = 3;
-        }
-        MultilingualEmbedder { inner: SentenceEmbedder::new(config), lang_weight: 0.2 }
-    }
-
-    /// Output dimensionality.
-    pub fn dims(&self) -> usize {
-        self.inner.dims()
-    }
-
-    /// Fit SIF weights on a corpus (diacritics folded).
-    pub fn fit<S: AsRef<str>>(&mut self, corpus: &[S]) {
-        let folded: Vec<String> = corpus
-            .iter()
-            .map(|s| allhands_text::fold_diacritics(s.as_ref()))
-            .collect();
-        self.inner.fit(&folded);
-    }
-
-    /// Embed with diacritic folding and a language feature.
-    pub fn embed(&self, text: &str) -> Embedding {
-        let folded = allhands_text::fold_diacritics(text);
-        let mut e = self.inner.embed(&folded);
-        let lang = detect_language(text);
-        if self.lang_weight > 0.0 && lang != Language::Other {
-            let mut lang_dir = vec![0.0f32; self.inner.dims()];
-            self.inner
-                .add_feature(&mut lang_dir, &format!("<lang:{lang}>"), self.lang_weight);
-            e.add_scaled(&Embedding::new(lang_dir), 1.0);
-            e.normalize();
-        }
-        e
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -418,16 +353,6 @@ mod tests {
         let va = a.embed("hello world");
         let vb = b.embed("hello world");
         assert!(va.cosine(&vb).abs() < 0.5);
-    }
-
-    #[test]
-    fn multilingual_translations_overlap() {
-        let m = MultilingualEmbedder::new(EmbedderConfig::large());
-        // Cognate-heavy pair: "results incorrect" / "resultados incorrectos".
-        let en = m.embed("the results are incorrect");
-        let es = m.embed("los resultados son incorrectos");
-        let unrelated = m.embed("brilliant camera zoom feature");
-        assert!(en.cosine(&es) > en.cosine(&unrelated));
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //!
 //! The serve layer's `serve.*` metric family (queue depth, replication lag,
 //! per-replica read counts, replicated entries) is volatile by construction —
-//! the values depend on connection and applier-thread interleaving — so the
+//! the values depend on connection and writer-thread interleaving — so the
 //! server records them exclusively through the volatile annex (`vincr` /
 //! `vadd` / `vobserve`) and opens no spans at all.
 

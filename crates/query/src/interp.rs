@@ -156,8 +156,9 @@ impl Interpreter {
 
     /// Route the `query.exec.*` counters (vectorized runs and row-wise
     /// fallbacks) into an obs recorder. Counters go through the volatile
-    /// annex only (no spans): sessions run on serve applier threads, where
-    /// the counts need not match between leader and replayed followers.
+    /// annex only (no spans): sessions run on serve writer and connection
+    /// threads, where the counts need not match between leader and
+    /// replayed followers.
     pub fn set_recorder(&mut self, recorder: Recorder) {
         self.recorder = recorder;
     }

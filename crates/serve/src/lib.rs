@@ -11,11 +11,12 @@
 //!   sessions (built from a leader [`BootstrapBundle`]) that serve `ask`
 //!   and `search` fanned out round-robin.
 //! - **Journal-tail replication.** After every committed write the writer
-//!   thread pulls the leader WAL suffix ([`Journal::tail_after`]) into an
-//!   in-memory replication log; one applier thread per follower replays
-//!   new lines through [`AllHands::apply_tail`], which re-verifies the
-//!   hash chain and keeps the follower journal byte-identical to the
-//!   leader's. Convergence is checkable: equal `chain_position()` means
+//!   thread acks the client, then, under each follower's write lock,
+//!   replays the leader WAL entries past that follower's cursor
+//!   ([`Journal::tail_after`]) through [`AllHands::apply_tail`], which
+//!   re-verifies the hash chain and keeps the follower journal
+//!   byte-identical to the leader's. Only then does it take the next
+//!   write. Convergence is checkable: equal `chain_position()` means
 //!   byte-identical history.
 //! - **Length-prefixed JSON protocol.** Clients speak newline-free frames
 //!   (`u32` little-endian byte length, then one JSON document) over a Unix
@@ -24,17 +25,17 @@
 //!
 //! Consistency model: writes are leader-serializable (single writer
 //! thread, bounded admission queue); follower reads are bounded-staleness
-//! — each read response carries the replica's `lag` in journal entries at
-//! the moment it was served, and `serve.replication_lag` tracks the same
-//! number as a volatile histogram.
+//! — each read response carries the replica's `lag` in journal entries,
+//! read while the read holds the replica's lock, so it is never less than
+//! the staleness of the state that answered. `serve.replication_lag`
+//! tracks the same number as a volatile histogram.
 //!
-//! [`Journal::tail_after`]: allhands_journal::Journal::tail_after
+//! [`Journal::tail_after`]: allhands_core::Journal::tail_after
 //! [`BootstrapBundle`]: allhands_core::BootstrapBundle
 
 use allhands_classify::LabeledExample;
-use allhands_core::{AllHands, AllHandsConfig, AllHandsError, JournalMode, TailEntry};
+use allhands_core::{AllHands, AllHandsConfig, AllHandsError, JournalMode};
 use allhands_datasets::{generate_n, DatasetKind};
-use allhands_journal::JournalError;
 use allhands_llm::ModelTier;
 use allhands_obs::Recorder;
 use serde_json::{json, Value};
@@ -43,7 +44,7 @@ use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -181,11 +182,11 @@ pub struct ServeOptions {
     /// Session configuration shared by leader and followers. Keep
     /// automatic checkpointing off (the default policy): replication does
     /// not survive compaction. The leader checkpoints and compacts inside
-    /// the write, before the tail is pulled, so under any checkpoint
+    /// the write, before the writer replicates it, so under any checkpoint
     /// policy, `keep_last_k >= 2` included, the first compaction drops WAL
-    /// entries the replication cursor has not read. The pull then fails
-    /// with `TailGap` and the server reports replication broken until the
-    /// followers are re-bootstrapped (ROADMAP.md item 7, "Fuzzed,
+    /// entries the followers have not replayed. The tail read then fails
+    /// with `TailGap` and the server reports replication broken until a
+    /// restart bootstraps the followers again (ROADMAP.md item 7, "Fuzzed,
     /// simulation-tested edges").
     pub config: AllHandsConfig,
 }
@@ -200,21 +201,18 @@ impl Default for ServeOptions {
     }
 }
 
-/// In-memory copy of the leader WAL suffix appended since server start.
-/// `base` is the leader's journal head at startup (followers bootstrap to
-/// exactly that point), so the entry at seq `s` lives at `s - base`.
-struct RepLog {
-    base: u64,
-    entries: Vec<TailEntry>,
-}
-
 enum WriteCmd {
     Ingest { texts: Vec<String>, reply: mpsc::Sender<Value> },
+    /// Replicate what the followers missed while replication was paused.
+    CatchUp,
 }
 
 struct Shared {
     socket: PathBuf,
     followers: Vec<RwLock<AllHands>>,
+    /// Each follower's replication cursor (its journal's next seq). The
+    /// writer stores it before it releases that follower's write lock, so
+    /// a read holding the lock sees the cursor of the state it serves.
     follower_seq: Vec<AtomicU64>,
     reads: Vec<AtomicU64>,
     leader_seq: AtomicU64,
@@ -222,12 +220,11 @@ struct Shared {
     fingerprint: String,
     rr: AtomicUsize,
     queue_depth: AtomicU64,
-    log: Mutex<RepLog>,
-    log_cv: Condvar,
     paused: AtomicBool,
     /// Set when replication can no longer make progress (a compaction gap
-    /// or a rejected replicated line); followers keep serving at their
-    /// last applied state, status reports the breakage.
+    /// or a rejected replicated line); the writer stops replicating,
+    /// followers keep serving at their last applied state, status reports
+    /// the breakage.
     broken: Mutex<Option<String>>,
     shutdown: AtomicBool,
     recorder: Recorder,
@@ -253,7 +250,11 @@ pub struct Server {
 impl Server {
     /// Bring up a leader + `opts.followers` replicas over `corpus`, bind
     /// `socket`, and start serving. `data_dir` receives one journal
-    /// directory per session (`leader/`, `follower-0/`, ...).
+    /// directory per session (`leader/`, `follower-0/`, ...). Over an
+    /// existing `data_dir` the leader recovers its latest state from
+    /// `leader/`, and each `follower-{i}/` is emptied and bootstrapped
+    /// again from the leader: follower journals are copies of the leader's
+    /// WAL, owned by the server.
     pub fn start(
         socket: &Path,
         data_dir: &Path,
@@ -265,6 +266,7 @@ impl Server {
         let (leader, _frame) = AllHands::builder(opts.tier)
             .config(opts.config.clone())
             .journal(JournalMode::Continue(data_dir.join("leader")))
+            .recover_latest()
             .analyze(&corpus.texts, &corpus.labeled, &corpus.predefined)?;
         let bundle = leader.export_bootstrap()?;
         let fingerprint = leader
@@ -279,9 +281,13 @@ impl Server {
         let mut follower_seq = Vec::with_capacity(followers_n);
         let mut reads = Vec::with_capacity(followers_n);
         for i in 0..followers_n {
+            let dir = data_dir.join(format!("follower-{i}"));
+            if dir.exists() {
+                std::fs::remove_dir_all(&dir)?;
+            }
             let (mut flw, _fframe) = AllHands::builder(opts.tier)
                 .config(opts.config.clone())
-                .journal(JournalMode::Continue(data_dir.join(format!("follower-{i}"))))
+                .journal(JournalMode::Continue(dir))
                 .bootstrap(bundle.clone())
                 .replica()
                 .analyze(&corpus.texts, &corpus.labeled, &corpus.predefined)?;
@@ -316,8 +322,6 @@ impl Server {
             fingerprint,
             rr: AtomicUsize::new(0),
             queue_depth: AtomicU64::new(0),
-            log: Mutex::new(RepLog { base: leader_next, entries: Vec::new() }),
-            log_cv: Condvar::new(),
             paused: AtomicBool::new(false),
             broken: Mutex::new(None),
             shutdown: AtomicBool::new(false),
@@ -330,10 +334,6 @@ impl Server {
         {
             let shared = Arc::clone(&shared);
             threads.push(std::thread::spawn(move || writer_loop(leader, writer_rx, &shared)));
-        }
-        for i in 0..followers_n {
-            let shared = Arc::clone(&shared);
-            threads.push(std::thread::spawn(move || applier_loop(i, &shared)));
         }
         {
             let shared = Arc::clone(&shared);
@@ -367,10 +367,6 @@ impl Server {
 
     fn stop(&mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        {
-            let _log = self.shared.log.lock().unwrap_or_else(|p| p.into_inner());
-            self.shared.log_cv.notify_all();
-        }
         self.writer_tx.take();
         // Unblock the accept loop; it re-checks the shutdown flag per
         // connection.
@@ -390,8 +386,9 @@ impl Drop for Server {
     }
 }
 
-/// The single writer: owns the leader session, applies admitted writes
-/// serially, and feeds the replication log after every commit.
+/// The single writer: owns the leader session and applies admitted writes
+/// serially. After each write it acks the client, then replicates to every
+/// follower before it takes the next command.
 fn writer_loop(mut leader: AllHands, rx: mpsc::Receiver<WriteCmd>, shared: &Shared) {
     loop {
         let cmd = match rx.recv_timeout(Duration::from_millis(50)) {
@@ -404,115 +401,70 @@ fn writer_loop(mut leader: AllHands, rx: mpsc::Receiver<WriteCmd>, shared: &Shar
             }
             Err(mpsc::RecvTimeoutError::Disconnected) => break,
         };
-        match cmd {
-            WriteCmd::Ingest { texts, reply } => {
-                shared.queue_depth.fetch_sub(1, Ordering::SeqCst);
-                shared.recorder.vincr("serve.writes");
-                let resp = match leader.ingest(&texts) {
-                    Ok(rep) => json!({
-                        "ok": true,
-                        "batch": rep.batch,
-                        "new_rows": rep.new_rows,
-                        "assigned": rep.assigned,
-                        "routed_pending": rep.routed_pending,
-                        "flushed": rep.flushed,
-                        "coined": rep.coined.clone(),
-                        "retrained": rep.retrained,
-                    }),
-                    Err(e) => json!({
-                        "ok": false,
-                        "error": e.to_string(),
-                        "read_only": matches!(e, AllHandsError::ReadOnly(_)),
-                    }),
-                };
-                publish_tail(&mut leader, shared);
-                let resp = match resp {
-                    Value::Object(mut m) => {
-                        m.insert("seq".to_string(), shared.leader_seq.load(Ordering::SeqCst).into());
-                        Value::Object(m)
-                    }
-                    other => other,
-                };
-                let _ = reply.send(resp);
+        if let WriteCmd::Ingest { texts, reply } = cmd {
+            shared.queue_depth.fetch_sub(1, Ordering::SeqCst);
+            shared.recorder.vincr("serve.writes");
+            let result = leader.ingest(&texts);
+            if let Some((seq, head)) = leader.chain_position() {
+                shared.leader_seq.store(seq, Ordering::SeqCst);
+                *shared.leader_chain.lock().unwrap_or_else(|p| p.into_inner()) = head;
             }
+            let seq = shared.leader_seq.load(Ordering::SeqCst);
+            let resp = match result {
+                Ok(rep) => json!({
+                    "ok": true,
+                    "batch": rep.batch,
+                    "new_rows": rep.new_rows,
+                    "assigned": rep.assigned,
+                    "routed_pending": rep.routed_pending,
+                    "flushed": rep.flushed,
+                    "coined": rep.coined.clone(),
+                    "retrained": rep.retrained,
+                    "seq": seq,
+                }),
+                Err(e) => json!({
+                    "ok": false,
+                    "error": e.to_string(),
+                    "read_only": matches!(e, AllHandsError::ReadOnly(_)),
+                    "seq": seq,
+                }),
+            };
+            let _ = reply.send(resp);
+        }
+        if let Err(e) = replicate(&leader, shared) {
+            *shared.broken.lock().unwrap_or_else(|p| p.into_inner()) = Some(e);
         }
     }
     // Leader drops here, releasing its journal lock.
 }
 
-/// Pull everything the leader appended past the replication log's head
-/// into the log and wake the appliers.
-fn publish_tail(leader: &mut AllHands, shared: &Shared) {
-    let Some((next_seq, head)) = leader.chain_position() else { return };
-    let cursor = {
-        let log = shared.log.lock().unwrap_or_else(|p| p.into_inner());
-        log.base + log.entries.len() as u64
-    };
-    if next_seq <= cursor {
-        return;
+/// Replay the leader WAL entries past each follower's cursor into that
+/// follower, under its write lock. Skipped while paused; once broken,
+/// replication stays stopped. Every follower runs the same reducer over the
+/// same bytes, so a line one follower rejects, every follower rejects.
+fn replicate(leader: &AllHands, shared: &Shared) -> Result<(), String> {
+    if shared.paused.load(Ordering::SeqCst)
+        || shared.broken.lock().unwrap_or_else(|p| p.into_inner()).is_some()
+    {
+        return Ok(());
     }
-    let Some(journal) = leader.journal() else { return };
-    match journal.tail_after(cursor) {
-        Ok(new) => {
-            let mut log = shared.log.lock().unwrap_or_else(|p| p.into_inner());
-            log.entries.extend(new);
-            shared.leader_seq.store(log.base + log.entries.len() as u64, Ordering::SeqCst);
-            *shared.leader_chain.lock().unwrap_or_else(|p| p.into_inner()) = head;
-            shared.log_cv.notify_all();
+    let Some(journal) = leader.journal() else { return Ok(()) };
+    for (i, follower) in shared.followers.iter().enumerate() {
+        // The tail is in memory, so a read fails only when compaction
+        // outran the cursor, as the first compaction under any checkpoint
+        // policy does (see `ServeOptions::config`).
+        let tail = journal
+            .tail_after(shared.follower_seq[i].load(Ordering::SeqCst))
+            .map_err(|e| format!("replication broken: {e}"))?;
+        if tail.is_empty() {
+            continue;
         }
-        Err(e @ JournalError::TailGap { .. }) => {
-            // Compaction outran the cursor, as the first compaction under
-            // any checkpoint policy does (see `ServeOptions::config`):
-            // replication cannot continue without a re-bootstrap.
-            // Followers keep serving their last state.
-            *shared.broken.lock().unwrap_or_else(|p| p.into_inner()) =
-                Some(format!("replication broken: {e}"));
-            shared.leader_seq.store(next_seq, Ordering::SeqCst);
-            *shared.leader_chain.lock().unwrap_or_else(|p| p.into_inner()) = head;
-        }
-        Err(e) => {
-            *shared.broken.lock().unwrap_or_else(|p| p.into_inner()) =
-                Some(format!("replication tail read failed: {e}"));
-        }
+        let mut flw = follower.write().unwrap_or_else(|p| p.into_inner());
+        let rep = flw.apply_tail(&tail).map_err(|e| format!("follower {i} replay failed: {e}"))?;
+        shared.follower_seq[i].store(rep.next_seq, Ordering::SeqCst);
+        shared.recorder.vadd("serve.replicated_entries", rep.applied as u64);
     }
-}
-
-/// One per follower: replays new replication-log entries through
-/// `apply_tail`, then rebuilds the search index so concurrent readers see
-/// the new documents.
-fn applier_loop(i: usize, shared: &Shared) {
-    loop {
-        let batch: Vec<TailEntry> = {
-            let mut log = shared.log.lock().unwrap_or_else(|p| p.into_inner());
-            loop {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                let cursor = shared.follower_seq[i].load(Ordering::SeqCst);
-                let have = log.base + log.entries.len() as u64;
-                if !shared.paused.load(Ordering::SeqCst) && have > cursor {
-                    let start = (cursor - log.base) as usize;
-                    break log.entries[start..].to_vec();
-                }
-                log = shared.log_cv.wait(log).unwrap_or_else(|p| p.into_inner());
-            }
-        };
-        let mut flw = shared.followers[i].write().unwrap_or_else(|p| p.into_inner());
-        match flw.apply_tail(&batch) {
-            Ok(rep) => {
-                // The replica state changed; rebuild the shared-read search
-                // index while we still hold the write lock.
-                let _ = flw.prepare_search();
-                shared.follower_seq[i].store(rep.next_seq, Ordering::SeqCst);
-                shared.recorder.vadd("serve.replicated_entries", rep.applied as u64);
-            }
-            Err(e) => {
-                *shared.broken.lock().unwrap_or_else(|p| p.into_inner()) =
-                    Some(format!("follower {i} replay failed: {e}"));
-                return;
-            }
-        }
-    }
+    Ok(())
 }
 
 fn accept_loop(listener: UnixListener, shared: &Arc<Shared>, writer_tx: &mpsc::SyncSender<WriteCmd>) {
@@ -543,10 +495,6 @@ fn handle_conn(
         protocol::write_frame(&mut writer, &resp)?;
         if op == "shutdown" {
             shared.shutdown.store(true, Ordering::SeqCst);
-            {
-                let _log = shared.log.lock().unwrap_or_else(|p| p.into_inner());
-                shared.log_cv.notify_all();
-            }
             // Unblock the accept loop so it observes the flag.
             let _ = UnixStream::connect(&shared.socket);
             break;
@@ -574,8 +522,9 @@ fn dispatch(
         }
         "resume_replication" => {
             shared.paused.store(false, Ordering::SeqCst);
-            let _log = shared.log.lock().unwrap_or_else(|p| p.into_inner());
-            shared.log_cv.notify_all();
+            // The writer replicates after every command, so a full queue
+            // needs no catch-up of its own.
+            let _ = writer_tx.try_send(WriteCmd::CatchUp);
             json!({"ok": true, "paused": false})
         }
         "shutdown" => json!({"ok": true, "shutting_down": true}),
@@ -606,11 +555,12 @@ fn op_ask(req: &Value, shared: &Arc<Shared>) -> Value {
         return json!({"ok": false, "error": "ask needs \"question\": string"});
     };
     let i = shared.rr.fetch_add(1, Ordering::SeqCst) % shared.followers.len();
-    let lag = shared.lag_of(i);
-    shared.recorder.vobserve("serve.replication_lag", lag);
     shared.recorder.vincr(&format!("serve.reads.replica{i}"));
     shared.reads[i].fetch_add(1, Ordering::SeqCst);
     let mut flw = shared.followers[i].write().unwrap_or_else(|p| p.into_inner());
+    // The writer moves this replica's cursor only under its lock.
+    let lag = shared.lag_of(i);
+    shared.recorder.vobserve("serve.replication_lag", lag);
     match flw.ask(question) {
         Ok(r) => json!({
             "ok": true,
@@ -630,14 +580,14 @@ fn op_search(req: &Value, shared: &Arc<Shared>) -> Value {
     };
     let k = u64_field(req, "k").unwrap_or(5) as usize;
     let i = shared.rr.fetch_add(1, Ordering::SeqCst) % shared.followers.len();
-    let lag = shared.lag_of(i);
-    shared.recorder.vobserve("serve.replication_lag", lag);
     shared.recorder.vincr(&format!("serve.reads.replica{i}"));
     shared.reads[i].fetch_add(1, Ordering::SeqCst);
     // The read-path borrow split: `search_similar_prepared` is `&self`, so
     // searches share the replica behind a read lock and never block each
     // other.
     let flw = shared.followers[i].read().unwrap_or_else(|p| p.into_inner());
+    let lag = shared.lag_of(i);
+    shared.recorder.vobserve("serve.replication_lag", lag);
     match flw.search_similar_prepared(text, k) {
         Ok(hits) => {
             let hits: Vec<Value> = hits
@@ -656,12 +606,13 @@ fn op_status(shared: &Arc<Shared>) -> Value {
         let guard = f.read().unwrap_or_else(|p| p.into_inner());
         let (seq, chain) = guard.chain_position().unwrap_or((0, String::new()));
         let fp = guard.run_fingerprint().unwrap_or_default().to_string();
+        let lag = shared.lag_of(i);
         drop(guard);
         followers.push(json!({
             "replica": i,
             "seq": seq,
             "chain": chain,
-            "lag": shared.lag_of(i),
+            "lag": lag,
             "reads": shared.reads[i].load(Ordering::SeqCst),
             "fingerprint": fp,
         }));
@@ -738,8 +689,9 @@ pub struct AskReply {
     pub degradation: Vec<String>,
     /// Which replica served the read.
     pub replica: u64,
-    /// How many journal entries the replica was behind the leader when
-    /// the read was admitted.
+    /// How many journal entries the replica was behind the leader while
+    /// the read held its lock: never less than the staleness of the state
+    /// that answered.
     pub lag: u64,
 }
 
@@ -849,13 +801,14 @@ impl ServeClient {
         self.call(&json!({"op": "metrics"}))
     }
 
-    /// Freeze the appliers: followers stop consuming the replication log
-    /// (reads keep serving, lag grows). For tests and maintenance windows.
+    /// Pause replication: the writer keeps committing writes but stops
+    /// replaying them into the followers (reads keep serving, lag grows).
+    /// For tests and maintenance windows.
     pub fn pause_replication(&mut self) -> Result<(), ServeError> {
         self.call(&json!({"op": "pause_replication"})).map(|_| ())
     }
 
-    /// Resume frozen appliers.
+    /// Resume replication: the writer replays what the followers missed.
     pub fn resume_replication(&mut self) -> Result<(), ServeError> {
         self.call(&json!({"op": "resume_replication"})).map(|_| ())
     }

@@ -44,8 +44,10 @@
 #                   dataframe and query crates' own tests (the shared column
 #                   storage both engines run on, clone sharing included).
 #   --serve-smoke   the serving/replication suite (kill-at-every-entry
-#                   reconnect sweep, lag reporting, replica write refusal)
-#                   and the apply-path convergence suite, then the
+#                   reconnect sweep, lag reporting, replica write refusal,
+#                   restart over the same data directory), the apply-path
+#                   convergence suite and the serve crate's own tests
+#                   (framing, oversized frames, value accessors), then the
 #                   allhands-serve end-to-end smoke — leader + 2 followers
 #                   on a Unix socket, reads served during an ingest, chains
 #                   and fingerprints asserted converged.
@@ -129,8 +131,9 @@ if [[ "$query_smoke" == 1 ]]; then
 fi
 
 if [[ "$serve_smoke" == 1 ]]; then
-  echo "==> serve smoke (replication sweep + apply convergence, then leader + 2 followers end-to-end)"
+  echo "==> serve smoke (replication sweep + apply convergence + serve crate, then leader + 2 followers end-to-end)"
   cargo test -q --test serve_replication --test apply_convergence
+  cargo test -q -p allhands-serve
   cargo run --release -p allhands-serve --bin allhands-serve -- --smoke --followers 2
 fi
 

@@ -9,6 +9,9 @@
 //!   WAL bytes, byte-identical answers.
 //! - Replica sessions refuse writes with a typed `ReadOnly` error and
 //!   keep serving reads.
+//! - A server restarted over its own data directory recovers the leader's
+//!   ingested batches, bootstraps its followers again, and keeps
+//!   replicating.
 
 use allhands::datasets::{generate_n, DatasetKind};
 use allhands::prelude::*;
@@ -251,7 +254,7 @@ fn lagging_follower_reports_its_lag_and_drains_after_resume() {
     let server = Server::start(&socket, &data_dir, &corpus, opts).expect("server start failed");
     let mut client = ServeClient::connect(&socket).expect("client connect failed");
 
-    // Freeze the appliers, then push K write batches through the leader.
+    // Pause replication, then push K write batches through the leader.
     client.pause_replication().expect("pause failed");
     let seq_before = {
         let status = client.status().expect("status failed");
@@ -336,6 +339,77 @@ fn huge_search_k_returns_hits_and_the_server_keeps_serving() {
     }
     let answer = client.ask(QUESTIONS[0]).expect("ask after huge-k search failed");
     assert!(answer.error.is_none(), "ask after huge-k search errored: {:?}", answer.error);
+
+    client.shutdown().expect("shutdown failed");
+    server.run_until_shutdown();
+    std::fs::remove_dir_all(&data_dir).ok();
+    std::fs::remove_file(&socket).ok();
+}
+
+/// Every follower is at the leader's chain and fingerprint, replication
+/// unbroken.
+fn assert_converged(status: &serde_json::Value) {
+    assert_eq!(status["broken"], serde_json::Value::Null, "replication broke: {status}");
+    let serde_json::Value::Array(flws) = &status["followers"] else {
+        panic!("status followers is not an array: {status}");
+    };
+    for f in flws {
+        assert_eq!(f["chain"], status["leader"]["chain"], "follower chain diverged: {status}");
+        assert_eq!(
+            f["fingerprint"], status["leader"]["fingerprint"],
+            "follower fingerprint diverged: {status}"
+        );
+    }
+}
+
+/// Every follower answers the count question with `rows`.
+fn assert_every_follower_counts(client: &mut ServeClient, followers: u64, rows: u64) {
+    let mut replicas = std::collections::BTreeSet::new();
+    for _ in 0..followers {
+        let reply = client.ask(QUESTIONS[0]).expect("count ask failed");
+        assert!(
+            reply.answer.contains(&format!("Result: {rows}")),
+            "replica {} should count {rows} rows: {:?}",
+            reply.replica,
+            reply.answer
+        );
+        replicas.insert(reply.replica);
+    }
+    assert_eq!(replicas.len() as u64, followers, "round-robin missed a replica");
+}
+
+#[test]
+fn restart_over_the_same_data_dir_recovers_and_keeps_replicating() {
+    let socket = Path::new(env!("CARGO_TARGET_TMPDIR"))
+        .join(format!("serve-restart-{}.sock", std::process::id()));
+    let data_dir = scratch_dir("restart-data");
+    let corpus = Corpus::synthetic(16, 23);
+    let opts = || ServeOptions { followers: 2, config: tuned(), ..ServeOptions::default() };
+    let mut rows = corpus.texts.len() as u64;
+
+    let server = Server::start(&socket, &data_dir, &corpus, opts()).expect("server start failed");
+    let mut client = ServeClient::connect(&socket).expect("client connect failed");
+    for batch in &batches()[..2] {
+        rows += client.ingest(batch).expect("ingest failed").new_rows;
+    }
+    client.shutdown().expect("shutdown failed");
+    server.run_until_shutdown();
+
+    // Same data directory, same corpus: the leader comes back with both
+    // batches and the followers are bootstrapped again from it.
+    let server = Server::start(&socket, &data_dir, &corpus, opts())
+        .expect("restart over the same data directory failed");
+    let mut client = ServeClient::connect(&socket).expect("client reconnect failed");
+    let status = client.status().expect("status failed");
+    assert_converged(&status);
+    assert_every_follower_counts(&mut client, 2, rows);
+
+    rows += client.ingest(&batches()[2]).expect("ingest after restart failed").new_rows;
+    let status = client
+        .wait_replicated(Duration::from_secs(30))
+        .expect("followers never drained after the restart's first ingest");
+    assert_converged(&status);
+    assert_every_follower_counts(&mut client, 2, rows);
 
     client.shutdown().expect("shutdown failed");
     server.run_until_shutdown();
