@@ -8,7 +8,7 @@
 
 use allhands_classify::{LabeledExample, LexicalPrior};
 use allhands_embed::Embedding;
-use allhands_llm::{ChatOptions, ClassifyHead, Demonstration, EmbeddedDemonstration, SimLlm};
+use allhands_llm::{ChatOptions, ClassifyHead, Demonstration, ScoredDemonstration, SimLlm};
 use allhands_resilience::{Head, ResilienceConfig, ResilienceCtx};
 use allhands_vectordb::{IvfIndex, Record};
 use std::sync::Arc;
@@ -169,40 +169,26 @@ impl<'a> IclClassifier<'a> {
 
     /// Retrieve the top-K demonstration examples for a query text.
     pub fn retrieve(&self, text: &str) -> Vec<Demonstration> {
-        self.retrieve_embedded(&self.llm.embedder().embed(text))
+        self.retrieve_scored(&self.llm.embedder().embed(text))
             .into_iter()
-            .map(|ed| ed.demo)
+            .map(|(ex, _)| Demonstration { input: ex.text.clone(), output: ex.label.clone() })
             .collect()
     }
 
     /// [`retrieve`](Self::retrieve) for an already-embedded query
-    /// (`embed(text)`), surfacing each demonstration's stored index vector
-    /// alongside it. The index stores exactly `embed(demo.input)` (computed
-    /// at fit time), so downstream scoring can skip re-embedding every
-    /// demonstration per classified text — the seed's hidden (texts ×
-    /// shots) embedding cost.
-    pub fn retrieve_embedded(&self, query: &Embedding) -> Vec<EmbeddedDemonstration> {
+    /// (`embed(text)`), with each demonstration's retrieval score. The
+    /// index stores exactly `embed(demo.text)` (computed at fit time) and
+    /// scores a row with `Embedding::cosine`'s formula, so each score is
+    /// bit for bit `query.cosine(&embed(demo.text))` and the classify head
+    /// votes from it without the demonstration's vector.
+    pub fn retrieve_scored(&self, query: &Embedding) -> Vec<(&LabeledExample, f32)> {
         if self.config.shots == 0 || self.demos.pool.is_empty() {
             return Vec::new();
         }
         self.demos.index
             .search(query, self.config.shots)
             .into_iter()
-            .map(|hit| {
-                let ex = &self.demos.pool[hit.id as usize];
-                let vector = self
-                    .demos
-                    .index
-                    .get(hit.id)
-                    .map(|r| r.vector)
-                    // Unreachable (hits come from the index), but fall back
-                    // to a fresh embed rather than panic.
-                    .unwrap_or_else(|| self.llm.embedder().embed(&ex.text));
-                EmbeddedDemonstration {
-                    demo: Demonstration { input: ex.text.clone(), output: ex.label.clone() },
-                    embedding: vector,
-                }
-            })
+            .map(|hit| (&self.demos.pool[hit.id as usize], hit.score))
             .collect()
     }
 
@@ -231,7 +217,11 @@ impl<'a> IclClassifier<'a> {
     /// both the retrieval query and the head's sentence embedding.
     fn classify_direct(&self, text: &str) -> String {
         let text_emb = self.llm.embedder().embed(text);
-        let demos = self.retrieve_embedded(&text_emb);
+        let demos: Vec<ScoredDemonstration> = self
+            .retrieve_scored(&text_emb)
+            .into_iter()
+            .map(|(ex, score)| ScoredDemonstration { output: &ex.label, score })
+            .collect();
         self.head
             .classify_embedded(text, &text_emb, &self.demos.labels, &demos, &self.config.chat)
     }
@@ -377,6 +367,42 @@ mod tests {
         // The nearest demonstrations should overwhelmingly be crash-themed.
         let informative = demos.iter().filter(|d| d.output == "informative").count();
         assert!(informative >= 4, "{informative}/5 informative");
+    }
+
+    #[test]
+    fn retrieval_scores_equal_fresh_cosines_bit_for_bit() {
+        // An untrained pool is one exact scan; a pool above 500 demos is
+        // IVF-trained. Either way a hit's score is the cosine the classify
+        // head would compute from two fresh embeds.
+        let llm = SimLlm::gpt4();
+        let (small, labels) = pool();
+        // Distinct words, so k-means has real clusters to find.
+        let word = |i: u64| -> String {
+            let h = allhands_embed::mix64(i);
+            (0..6).map(|k| char::from(b'a' + ((h >> (5 * k)) % 26) as u8)).collect()
+        };
+        let large: Vec<LabeledExample> = (0..520u64)
+            .map(|i| LabeledExample {
+                text: format!("{} {} {} crash {}", word(i), word(i % 40), word(1000 + i % 13), i % 7),
+                label: if i % 3 == 0 { "informative" } else { "non-informative" }.into(),
+            })
+            .collect();
+        for (demos, trained) in [(&small, false), (&large, true)] {
+            let clf = IclClassifier::fit(&llm, demos, &labels, IclConfig::default());
+            assert_eq!(clf.demos.index.is_trained(), trained);
+            let mut checked = 0;
+            for text in ["crash bug error in the app", "lol cool whatever", &large[5].text, &large[77].text, ""] {
+                let query = llm.embedder().embed(text);
+                let hits = clf.retrieve_scored(&query);
+                assert!(hits.len() <= 10);
+                checked += hits.len();
+                for (ex, score) in hits {
+                    let fresh = query.cosine(&llm.embedder().embed(&ex.text));
+                    assert_eq!(score.to_bits(), fresh.to_bits(), "{text:?} vs {:?}", ex.text);
+                }
+            }
+            assert!(checked >= 30, "only {checked} hits checked");
+        }
     }
 
     #[test]

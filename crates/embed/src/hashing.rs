@@ -4,11 +4,24 @@
 //! reproducibility guarantees of the embedder; these are stable across runs
 //! and platforms.
 
+/// The FNV-1a offset basis: the hash of the empty string.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
 /// FNV-1a hash of a string.
 #[inline]
 pub fn hash64(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.as_bytes() {
+    fnv_extend(FNV_OFFSET, s.as_bytes())
+}
+
+/// Continue an FNV-1a hash `h` over `bytes`. FNV-1a consumes one byte at
+/// a time, so hashing a string piece by piece gives the hash of the whole:
+/// `hash64(s) == fnv_extend(FNV_OFFSET, s.as_bytes())`, and
+/// `fnv_extend(fnv_extend(FNV_OFFSET, a), b)` is the hash of `a` followed
+/// by `b`. The embedder hashes n-grams and bigrams this way without
+/// building their strings.
+#[inline]
+pub fn fnv_extend(mut h: u64, bytes: &[u8]) -> u64 {
+    for b in bytes {
         h ^= u64::from(*b);
         h = h.wrapping_mul(0x0000_0100_0000_01B3);
     }
@@ -35,6 +48,17 @@ mod tests {
         assert_eq!(hash64(""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(hash64("a"), hash64("a"));
         assert_ne!(hash64("a"), hash64("b"));
+    }
+
+    #[test]
+    fn extend_continues_the_hash() {
+        for s in ["", "a", "<ap", "crash+app", "caf\u{e9}>"] {
+            assert_eq!(hash64(s), fnv_extend(FNV_OFFSET, s.as_bytes()));
+            for cut in (0..=s.len()).filter(|&i| s.is_char_boundary(i)) {
+                let (a, b) = s.split_at(cut);
+                assert_eq!(hash64(s), fnv_extend(fnv_extend(FNV_OFFSET, a.as_bytes()), b.as_bytes()));
+            }
+        }
     }
 
     #[test]

@@ -15,6 +15,14 @@
 //!   richness, which is how the simulated GPT-4 sees a better space than
 //!   the simulated GPT-3.5.
 //!
+//! Cost: a feature's direction takes `dims / 2` serial [`mix64`] calls to
+//! generate, and most features recur (`the`, `<ap`). Each embedder keeps a
+//! bounded table of the directions it generated — 8,192 slots, at most
+//! 16 MiB at 512 dims, allocated on the first embed and shared by clones —
+//! and hashes n-grams and bigrams straight from the token bytes
+//! ([`fnv_extend`]) instead of building a string per feature. Both leave
+//! every vector bit-identical.
+//!
 //! # Example
 //!
 //! ```
@@ -30,12 +38,13 @@
 pub mod hashing;
 pub mod vector;
 
-pub use hashing::{hash64, mix64};
+pub use hashing::{fnv_extend, hash64, mix64, FNV_OFFSET};
 pub use vector::{cosine_from_parts, dot_slices, norm_slice, sq_dist_slices, Embedding};
 
 use allhands_obs::Recorder;
-use allhands_text::{char_ngrams, light_preprocess};
+use allhands_text::light_preprocess;
 use std::collections::HashMap;
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Configuration for [`SentenceEmbedder`].
 #[derive(Debug, Clone)]
@@ -81,6 +90,8 @@ pub struct SentenceEmbedder {
     /// as **volatile** metrics: cache layers above ([`EmbedMemo`], the gloss
     /// cache) race on misses, so the raw compute count is thread-dependent.
     rec: Recorder,
+    /// Feature directions generated so far, shared by clones.
+    dirs: Arc<DirTable>,
 }
 
 impl SentenceEmbedder {
@@ -88,7 +99,12 @@ impl SentenceEmbedder {
     /// token weights until [`fit`](Self::fit) is called).
     pub fn new(config: EmbedderConfig) -> Self {
         assert!(config.dims > 0, "embedding dims must be positive");
-        SentenceEmbedder { config, unigram: HashMap::new(), rec: Recorder::disabled() }
+        SentenceEmbedder {
+            config,
+            unigram: HashMap::new(),
+            rec: Recorder::disabled(),
+            dirs: Arc::new(DirTable::default()),
+        }
     }
 
     /// Route embed metrics into `rec` (see the `rec` field for why they are
@@ -144,30 +160,27 @@ impl SentenceEmbedder {
         }
     }
 
-    /// Add a feature's pseudo-random direction into `acc` with `weight`.
-    fn add_feature(&self, acc: &mut [f32], feature: &str, weight: f32) {
+    /// Add the pseudo-random direction of the feature whose FNV-1a hash is
+    /// `hash` into `acc` with `weight`, counting the table lookup.
+    fn add_feature(&self, acc: &mut [f32], hash: u64, weight: f32, lookups: &mut Lookups) {
         if weight == 0.0 {
             return;
         }
-        let base = hash64(feature) ^ self.config.seed;
-        // Generate `dims` pseudo-random values in [-1, 1] from a splitmix
-        // chain; two values per 64-bit output.
-        let mut state = base;
-        let mut i = 0;
-        while i < acc.len() {
-            state = mix64(state);
-            let lo = (state & 0xFFFF_FFFF) as u32;
-            let hi = (state >> 32) as u32;
-            acc[i] += weight * to_unit(lo);
-            if i + 1 < acc.len() {
-                acc[i + 1] += weight * to_unit(hi);
-            }
-            i += 2;
+        if self.dirs.add(acc, hash ^ self.config.seed, weight) {
+            lookups.hits += 1;
+        } else {
+            lookups.misses += 1;
         }
     }
 
     /// Embed a sentence into a unit vector. Empty/degenerate input yields
     /// the zero vector (cosine with anything = 0).
+    ///
+    /// The features are each token, the token's character n-grams (those of
+    /// [`allhands_text::char_ngrams`]) and each adjacent-token bigram
+    /// `a+b`. Each is hashed straight from the token's bytes with
+    /// [`fnv_extend`], to exactly the [`hash64`] of the string it names, so
+    /// no feature string is built.
     pub fn embed(&self, text: &str) -> Embedding {
         self.rec.vincr("embed.computes");
         let tokens = light_preprocess(text);
@@ -175,23 +188,45 @@ impl SentenceEmbedder {
         if tokens.is_empty() {
             return Embedding::new(acc);
         }
+        let mut lookups = Lookups::default();
+        let n = self.config.char_ngram;
+        // Byte offset of each char of the current token, then its length.
+        let mut bounds: Vec<usize> = Vec::new();
         for tok in &tokens {
             let w = self.sif_weight(tok);
-            self.add_feature(&mut acc, tok, w);
-            if self.config.char_ngram > 0 && !tok.starts_with('<') {
-                let grams = char_ngrams(tok, self.config.char_ngram);
-                let gw = w * self.config.char_weight / grams.len().max(1) as f32;
-                for g in &grams {
-                    self.add_feature(&mut acc, g, gw);
+            self.add_feature(&mut acc, hash64(tok), w, &mut lookups);
+            if n > 0 && !tok.starts_with('<') {
+                bounds.clear();
+                bounds.extend(tok.char_indices().map(|(i, _)| i));
+                bounds.push(tok.len());
+                let chars = bounds.len() - 1;
+                // The n-grams are the windows of `<tok>`, or `<tok>` itself
+                // when it is shorter than `n`.
+                let len = chars + 2;
+                let grams = if len < n { 1 } else { len - n + 1 };
+                let gw = w * self.config.char_weight / grams as f32;
+                for start in 0..grams {
+                    let end = (start + n).min(len);
+                    let mut h = if start == 0 { fnv_extend(FNV_OFFSET, b"<") } else { FNV_OFFSET };
+                    // Window positions 1..=chars are the token's chars.
+                    let (first, last) = (start.max(1) - 1, end.min(chars + 1) - 1);
+                    h = fnv_extend(h, &tok.as_bytes()[bounds[first]..bounds[last]]);
+                    if end == len {
+                        h = fnv_extend(h, b">");
+                    }
+                    self.add_feature(&mut acc, h, gw, &mut lookups);
                 }
             }
         }
         if self.config.use_bigrams {
             for pair in tokens.windows(2) {
-                let bigram = format!("{}+{}", pair[0], pair[1]);
-                self.add_feature(&mut acc, &bigram, 0.5);
+                let h = fnv_extend(fnv_extend(hash64(&pair[0]), b"+"), pair[1].as_bytes());
+                self.add_feature(&mut acc, h, 0.5, &mut lookups);
             }
         }
+        // Once per embed: the recorder takes a mutex on every count.
+        self.rec.vadd("embed.dir.hits", lookups.hits);
+        self.rec.vadd("embed.dir.misses", lookups.misses);
         let inv = 1.0 / tokens.len() as f32;
         for v in &mut acc {
             *v *= inv;
@@ -199,6 +234,106 @@ impl SentenceEmbedder {
         let mut e = Embedding::new(acc);
         e.normalize();
         e
+    }
+}
+
+/// Direction-table hits and misses of one embed.
+#[derive(Default)]
+struct Lookups {
+    hits: u64,
+    misses: u64,
+}
+
+/// Slots in an embedder's direction table. A power of two, so the slot
+/// pick is a mask. It bounds the table at `DIR_SLOTS × dims × 4` bytes of
+/// directions (16 MiB at 512 dims, 8 MiB at 256) plus a 32-byte header per
+/// slot.
+const DIR_SLOTS: usize = 8192;
+
+/// A bounded, direct-mapped table of feature directions, one per embedder
+/// (clones share it through an `Arc`).
+///
+/// A feature's direction is a pure function of its key, the seeded hash
+/// `hash64(feature) ^ seed`: the splitmix chain the key seeds, mapped
+/// through [`to_unit`]. A slot whose stored key equals the key therefore
+/// holds exactly the right direction, and adding it performs the same f32
+/// operations in the same order as generating it inline: a hit changes no
+/// output bit. Common features (`the`, `<ap`) are looked up by nearly every
+/// text; a miss generates the direction, adds it, and stores it in its slot
+/// in place of whatever feature held the slot before.
+///
+/// Each slot sits behind its own lock, held for one add over `dims` floats
+/// at most; a direction is generated outside the lock. Two threads may race
+/// to fill one slot with different keys: the slot is replaced in one
+/// assignment and every lookup checks the key, so the interleaving changes
+/// only the hit rate. For the same reason a poisoned slot lock is absorbed.
+/// The slot array is allocated on the first lookup (necessarily a miss), so
+/// an embedder that never embeds allocates nothing.
+#[derive(Default)]
+struct DirTable {
+    slots: OnceLock<Box<[Mutex<Option<DirSlot>>]>>,
+}
+
+/// One table entry: a feature's key and its `dims` direction values.
+struct DirSlot {
+    key: u64,
+    dir: Box<[f32]>,
+}
+
+impl DirTable {
+    /// `acc[i] += weight * dir[i]` for the direction of `key`, served from
+    /// the table or generated and stored. Returns whether the table hit.
+    fn add(&self, acc: &mut [f32], key: u64, weight: f32) -> bool {
+        let slots = self
+            .slots
+            .get_or_init(|| (0..DIR_SLOTS).map(|_| Mutex::new(None)).collect());
+        let slot = &slots[mix64(key) as usize & (DIR_SLOTS - 1)];
+        if let Some(hit) = lock(slot).as_ref().filter(|s| s.key == key) {
+            add_scaled(acc, weight, &hit.dir);
+            return true;
+        }
+        let dir = direction(key, acc.len());
+        add_scaled(acc, weight, &dir);
+        *lock(slot) = Some(DirSlot { key, dir });
+        false
+    }
+
+    /// Number of filled slots (0 before the first embed).
+    #[cfg(test)]
+    fn filled(&self) -> usize {
+        self.slots.get().map_or(0, |slots| slots.iter().filter(|s| lock(s).is_some()).count())
+    }
+}
+
+impl std::fmt::Debug for DirTable {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("DirTable").field("allocated", &self.slots.get().is_some()).finish()
+    }
+}
+
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The direction of the feature keyed `key`: `dims` pseudo-random values in
+/// [-1, 1] from a splitmix chain, two per 64-bit output.
+fn direction(key: u64, dims: usize) -> Box<[f32]> {
+    let mut dir = vec![0.0f32; dims];
+    let mut state = key;
+    for pair in dir.chunks_mut(2) {
+        state = mix64(state);
+        pair[0] = to_unit((state & 0xFFFF_FFFF) as u32);
+        if let Some(hi) = pair.get_mut(1) {
+            *hi = to_unit((state >> 32) as u32);
+        }
+    }
+    dir.into_boxed_slice()
+}
+
+/// `acc[i] += weight * dir[i]`, in index order.
+fn add_scaled(acc: &mut [f32], weight: f32, dir: &[f32]) {
+    for (a, d) in acc.iter_mut().zip(dir) {
+        *a += weight * d;
     }
 }
 
@@ -225,7 +360,7 @@ fn to_unit(x: u32) -> f32 {
 #[derive(Debug)]
 pub struct EmbedMemo<'a> {
     embedder: &'a SentenceEmbedder,
-    shards: [std::sync::Mutex<HashMap<String, Embedding>>; MEMO_SHARDS],
+    shards: [Mutex<HashMap<String, Embedding>>; MEMO_SHARDS],
 }
 
 /// Lock shards in the memo cache. Power of two so the shard pick is a mask.
@@ -234,7 +369,7 @@ const MEMO_SHARDS: usize = 8;
 impl<'a> EmbedMemo<'a> {
     /// Wrap an embedder with an empty cache.
     pub fn new(embedder: &'a SentenceEmbedder) -> Self {
-        EmbedMemo { embedder, shards: std::array::from_fn(|_| std::sync::Mutex::new(HashMap::new())) }
+        EmbedMemo { embedder, shards: std::array::from_fn(|_| Mutex::new(HashMap::new())) }
     }
 
     /// The underlying embedder.
@@ -242,12 +377,8 @@ impl<'a> EmbedMemo<'a> {
         self.embedder
     }
 
-    fn shard(&self, key: &str) -> std::sync::MutexGuard<'_, HashMap<String, Embedding>> {
-        let idx = (hash64(key) as usize) & (MEMO_SHARDS - 1);
-        match self.shards[idx].lock() {
-            Ok(g) => g,
-            Err(p) => p.into_inner(),
-        }
+    fn shard(&self, key: &str) -> MutexGuard<'_, HashMap<String, Embedding>> {
+        lock(&self.shards[(hash64(key) as usize) & (MEMO_SHARDS - 1)])
     }
 
     /// Embed `text`, reusing the cached vector when available.
@@ -281,10 +412,7 @@ impl<'a> EmbedMemo<'a> {
 
     /// Number of distinct texts cached so far.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| match s.lock() {
-            Ok(g) => g.len(),
-            Err(p) => p.into_inner().len(),
-        }).sum()
+        self.shards.iter().map(|s| lock(s).len()).sum()
     }
 
     /// True when nothing has been cached.
@@ -359,6 +487,167 @@ mod tests {
     #[should_panic(expected = "dims must be positive")]
     fn zero_dims_panics() {
         SentenceEmbedder::new(EmbedderConfig { dims: 0, ..Default::default() });
+    }
+
+    /// The embed as written before the direction table: a `String` per
+    /// n-gram and bigram, and each direction generated inline per feature.
+    fn reference_embed(e: &SentenceEmbedder, text: &str) -> Vec<f32> {
+        fn add(e: &SentenceEmbedder, acc: &mut [f32], feature: &str, weight: f32) {
+            if weight == 0.0 {
+                return;
+            }
+            let mut state = hash64(feature) ^ e.config.seed;
+            let mut i = 0;
+            while i < acc.len() {
+                state = mix64(state);
+                acc[i] += weight * to_unit((state & 0xFFFF_FFFF) as u32);
+                if i + 1 < acc.len() {
+                    acc[i + 1] += weight * to_unit((state >> 32) as u32);
+                }
+                i += 2;
+            }
+        }
+        let tokens = light_preprocess(text);
+        let mut acc = vec![0.0f32; e.config.dims];
+        if tokens.is_empty() {
+            return acc;
+        }
+        for tok in &tokens {
+            let w = e.sif_weight(tok);
+            add(e, &mut acc, tok, w);
+            if e.config.char_ngram > 0 && !tok.starts_with('<') {
+                let grams = allhands_text::char_ngrams(tok, e.config.char_ngram);
+                let gw = w * e.config.char_weight / grams.len().max(1) as f32;
+                for g in &grams {
+                    add(e, &mut acc, g, gw);
+                }
+            }
+        }
+        if e.config.use_bigrams {
+            for pair in tokens.windows(2) {
+                add(e, &mut acc, &format!("{}+{}", pair[0], pair[1]), 0.5);
+            }
+        }
+        let inv = 1.0 / tokens.len() as f32;
+        for v in &mut acc {
+            *v *= inv;
+        }
+        let mut v = Embedding::new(acc);
+        v.normalize();
+        v.as_slice().to_vec()
+    }
+
+    fn assert_matches_reference(e: &SentenceEmbedder, texts: &[String]) {
+        for text in texts {
+            let got: Vec<u32> = e.embed(text).as_slice().iter().map(|x| x.to_bits()).collect();
+            let want: Vec<u32> = reference_embed(e, text).iter().map(|x| x.to_bits()).collect();
+            assert_eq!(got, want, "embed diverged from the reference on {text:?}");
+        }
+    }
+
+    /// Texts covering every feature shape: short and long words, words
+    /// shorter than the n-gram, multi-byte and emoji tokens, placeholders,
+    /// and fitted SIF weights (some of them zero-free but tiny).
+    fn sample_texts() -> Vec<String> {
+        let mut texts: Vec<String> = [
+            "the app crashes on startup",
+            "app crashing at launch, again!!",
+            "a I u",
+            "caf\u{e9} na\u{ef}ve \u{fc}ber stra\u{df}e",
+            "visit https://example.com 5 times \u{1F621}",
+            "\u{8fd9}\u{4e2a}\u{5e94}\u{7528} crashes",
+            "",
+            "!!!",
+            "please add a dark mode theme please",
+        ]
+        .iter()
+        .map(|t| t.to_string())
+        .collect();
+        texts.extend((0..40).map(|i| format!("report {i} the filter vanished after update {}", i % 7)));
+        texts
+    }
+
+    #[test]
+    fn embed_matches_the_reference_cold_and_warm() {
+        for config in [
+            EmbedderConfig::default(),
+            EmbedderConfig { dims: 7, char_ngram: 2, ..Default::default() },
+            EmbedderConfig { char_ngram: 5, use_bigrams: false, ..Default::default() },
+            EmbedderConfig { char_ngram: 1, char_weight: 0.0, ..Default::default() },
+            EmbedderConfig { char_ngram: 0, ..Default::default() },
+        ] {
+            let mut e = SentenceEmbedder::new(config);
+            e.fit(&sample_texts());
+            assert_matches_reference(&e, &sample_texts()); // cold
+            assert_matches_reference(&e, &sample_texts()); // warm
+        }
+    }
+
+    #[test]
+    fn table_is_bounded_and_evicted_slots_stay_exact() {
+        let e = SentenceEmbedder::new(EmbedderConfig { dims: 16, ..Default::default() });
+        // Distinct pseudo-random words: far more features than slots.
+        let word = |i: u64| -> String {
+            let h = mix64(i);
+            (0..7).map(|k| char::from(b'a' + ((h >> (5 * k)) % 26) as u8)).collect()
+        };
+        let texts: Vec<String> = (0..400u64)
+            .map(|t| (0..12).map(|w| word(t * 12 + w)).collect::<Vec<_>>().join(" "))
+            .collect();
+        let rec = Recorder::new();
+        let mut counted = e.clone();
+        counted.set_recorder(rec.clone());
+        for chunk in texts.chunks(50) {
+            assert_matches_reference(&counted, chunk);
+            assert!(e.dirs.filled() <= DIR_SLOTS, "{} slots filled", e.dirs.filled());
+        }
+        let misses = rec.report().volatile_counters["embed.dir.misses"];
+        assert!(misses > 3 * DIR_SLOTS as u64, "{misses} misses cannot overflow the table");
+        assert!(e.dirs.filled() > DIR_SLOTS / 2);
+        // The first texts' features were evicted long ago.
+        assert_matches_reference(&e, &texts[..20]);
+    }
+
+    #[test]
+    fn racing_threads_and_clones_match_the_reference() {
+        let e = SentenceEmbedder::new(EmbedderConfig::default());
+        let texts = sample_texts();
+        let barrier = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for reverse in [false, true] {
+                let (e, barrier, texts) = (&e, &barrier, &texts);
+                s.spawn(move || {
+                    let mut order = texts.clone();
+                    if reverse {
+                        order.reverse();
+                    }
+                    barrier.wait();
+                    assert_matches_reference(e, &order);
+                });
+            }
+        });
+        // A clone shares the warm table: only features whose slot another
+        // feature of the sample took (direct mapping) miss.
+        let rec = Recorder::new();
+        let mut clone = e.clone();
+        clone.set_recorder(rec.clone());
+        assert!(Arc::ptr_eq(&e.dirs, &clone.dirs));
+        assert_matches_reference(&clone, &texts);
+        let counters = rec.report().volatile_counters;
+        let (hits, misses) = (counters["embed.dir.hits"], counters["embed.dir.misses"]);
+        assert!(hits > 20 * misses, "{hits} hits, {misses} misses on a warm table");
+    }
+
+    #[test]
+    fn an_embedder_that_never_embeds_allocates_no_slots() {
+        let e = SentenceEmbedder::new(EmbedderConfig::default());
+        let clone = e.clone();
+        assert_eq!(e.embed("").norm(), 0.0);
+        assert_eq!(clone.embed("!!!").norm(), 0.0);
+        assert!(e.dirs.slots.get().is_none());
+        assert_eq!(e.dirs.filled(), 0);
+        e.embed("one feature");
+        assert!(e.dirs.slots.get().is_some());
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! paper's zero-shot configuration.
 
 use crate::model::{ChatOptions, ModelSpec, ModelTier};
-use crate::prompt::{Demonstration, EmbeddedDemonstration};
+use crate::prompt::{Demonstration, ScoredDemonstration};
 use allhands_embed::{Embedding, SentenceEmbedder};
 use allhands_text::TrigramSet;
 use std::collections::{HashMap, HashSet};
@@ -201,47 +201,46 @@ impl<'a> ClassifyHead<'a> {
         let text_emb = self.embedder.embed(text);
         // Demo inputs are embedded here (the caller holds only raw
         // demonstrations); batch pipelines use [`classify_embedded`] with
-        // index-stored vectors instead.
-        let votes = self.demo_votes(labels, &text_emb, demonstrations.iter().map(|demo| {
-            (demo.output.as_str(), self.embedder.embed(&demo.input))
-        }));
-        self.decide(text, &text_emb, labels, &votes, opts)
+        // the retrieval scores instead.
+        let scored: Vec<ScoredDemonstration> = demonstrations
+            .iter()
+            .map(|demo| ScoredDemonstration {
+                output: &demo.output,
+                score: text_emb.cosine(&self.embedder.embed(&demo.input)),
+            })
+            .collect();
+        self.classify_embedded(text, &text_emb, labels, &scored, opts)
     }
 
-    /// [`classify`](Self::classify) with every embedding precomputed: the
-    /// text's own (`text_emb`, which must be this head's `embed(text)`) and
-    /// the demonstrations'. The head then calls the embedder only for
-    /// glosses it has not cached. A batch pipeline embeds each document
-    /// once, uses that vector as its retrieval query, and passes it here;
-    /// retrieval stores exactly `embed(demo.input)`. Output is bit-identical
-    /// to `classify` with the same demos.
+    /// [`classify`](Self::classify) with every similarity precomputed: the
+    /// text's embedding (`text_emb`, which must be this head's
+    /// `embed(text)`) and each demonstration's score against it. The head
+    /// then calls the embedder only for glosses it has not cached. A batch
+    /// pipeline embeds each document once, uses that vector as its
+    /// retrieval query, and passes the hits' scores here; the index scores
+    /// a hit bit for bit as `text_emb.cosine(&embed(demo.input))`, so the
+    /// output is bit-identical to `classify` with the same demos.
     pub fn classify_embedded(
         &self,
         text: &str,
         text_emb: &Embedding,
         labels: &[String],
-        demonstrations: &[EmbeddedDemonstration],
+        demonstrations: &[ScoredDemonstration],
         opts: &ChatOptions,
     ) -> String {
-        let votes = self.demo_votes(labels, text_emb, demonstrations.iter().map(|ed| {
-            (ed.demo.output.as_str(), ed.embedding.clone())
-        }));
+        let votes = self.demo_votes(labels, demonstrations);
         self.decide(text, text_emb, labels, &votes, opts)
     }
 
     /// Per-demo (label index, similarity) votes.
-    fn demo_votes<'d>(
-        &self,
-        labels: &[String],
-        text_emb: &Embedding,
-        demos: impl Iterator<Item = (&'d str, Embedding)>,
-    ) -> Vec<(usize, f32)> {
+    fn demo_votes(&self, labels: &[String], demos: &[ScoredDemonstration]) -> Vec<(usize, f32)> {
         demos
-            .filter_map(|(output, embedding)| {
+            .iter()
+            .filter_map(|demo| {
                 labels
                     .iter()
-                    .position(|l| l.eq_ignore_ascii_case(output))
-                    .map(|idx| (idx, text_emb.cosine(&embedding).max(0.0)))
+                    .position(|l| l.eq_ignore_ascii_case(demo.output))
+                    .map(|idx| (idx, demo.score.max(0.0)))
             })
             .collect()
     }
@@ -404,13 +403,6 @@ mod tests {
             Demonstration { input: "the cheetah filter vanished after update".into(), output: "informative".into() },
             Demonstration { input: "lol cool whatever".into(), output: "non-informative".into() },
         ];
-        let embedded: Vec<EmbeddedDemonstration> = demos
-            .iter()
-            .map(|d| EmbeddedDemonstration {
-                demo: d.clone(),
-                embedding: llm.embedder().embed(&d.input),
-            })
-            .collect();
         for text in [
             "the cheetah filter vanished from my camera",
             "crash error on startup",
@@ -418,9 +410,16 @@ mod tests {
             "some ambiguous feedback text",
         ] {
             let text_emb = llm.embedder().embed(text);
+            let scored: Vec<ScoredDemonstration> = demos
+                .iter()
+                .map(|d| ScoredDemonstration {
+                    output: &d.output,
+                    score: text_emb.cosine(&llm.embedder().embed(&d.input)),
+                })
+                .collect();
             assert_eq!(
                 head.classify(text, &labels(), &demos, &opts),
-                head.classify_embedded(text, &text_emb, &labels(), &embedded, &opts),
+                head.classify_embedded(text, &text_emb, &labels(), &scored, &opts),
                 "paths diverged on {text:?}"
             );
         }

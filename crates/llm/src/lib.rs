@@ -35,5 +35,5 @@ pub mod summarize;
 pub use classify::ClassifyHead;
 pub use codegen::{CodegenHead, CodegenRequest, SchemaInfo};
 pub use model::{ChatOptions, LlmError, LlmErrorKind, ModelSpec, ModelTier, SimLlm};
-pub use prompt::{Demonstration, EmbeddedDemonstration};
+pub use prompt::{Demonstration, ScoredDemonstration};
 pub use summarize::{SummarizeHead, TopicRequest, TopicResponse};

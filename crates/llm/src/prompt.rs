@@ -10,18 +10,20 @@ pub struct Demonstration {
     pub output: String,
 }
 
-/// A demonstration carrying its input's precomputed embedding.
+/// A retrieved demonstration as the classify head weighs it: the label it
+/// votes for and its retrieval score.
 ///
-/// Demonstrations are retrieved *from* a vector index, which already stores
-/// the input's embedding — recomputing it inside the per-text scoring loop
-/// (once per classification call per demo) was pure waste. Retrieval
-/// surfaces the stored vector alongside the demonstration so scoring never
-/// calls the embedder for demo inputs. The embedder is deterministic, so
-/// the stored vector is bit-identical to a fresh `embed(input)`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EmbeddedDemonstration {
-    /// The demonstration itself.
-    pub demo: Demonstration,
-    /// `embed(demo.input)`, computed when the demo entered the index.
-    pub embedding: allhands_embed::Embedding,
+/// Demonstrations are retrieved *from* a vector index, whose scan already
+/// computes each hit's cosine to the query with `Embedding::cosine`'s
+/// formula over the same values. The embedder is deterministic and the
+/// index stores exactly `embed(input)`, so the score is bit for bit
+/// `embed(text).cosine(&embed(input))`: scoring needs neither the
+/// demonstration's vector nor its input.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ScoredDemonstration<'a> {
+    /// The demonstration's gold output: the label it votes for.
+    pub output: &'a str,
+    /// Cosine similarity of the classified text to the demonstration's
+    /// input.
+    pub score: f32,
 }

@@ -455,7 +455,7 @@ fn replicate(leader: &AllHands, shared: &Shared) -> Result<(), String> {
         // policy does (see `ServeOptions::config`).
         let tail = journal
             .tail_after(shared.follower_seq[i].load(Ordering::SeqCst))
-            .map_err(|e| format!("replication broken: {e}"))?;
+            .map_err(|e| format!("follower {i} tail read failed: {e}"))?;
         if tail.is_empty() {
             continue;
         }
@@ -818,12 +818,18 @@ impl ServeClient {
         self.call(&json!({"op": "shutdown"})).map(|_| ())
     }
 
-    /// Poll `status` until every follower has drained to the leader's head
-    /// (or `timeout` passes). Returns the final status document.
+    /// Poll `status` until every follower has drained to the leader's head.
+    /// Returns the final status document. Errs once `timeout` passes, or as
+    /// soon as the status reports replication broken, with the reason: a
+    /// broken server replicates nothing more until a restart, so no wait
+    /// would drain it.
     pub fn wait_replicated(&mut self, timeout: Duration) -> Result<Value, ServeError> {
         let deadline = std::time::Instant::now() + timeout;
         loop {
             let status = self.status()?;
+            if let Value::String(reason) = &status["broken"] {
+                return Err(ServeError::Remote(format!("replication broken: {reason}")));
+            }
             let drained = match &status["followers"] {
                 Value::Array(items) => {
                     items.iter().all(|f| u64_field(f, "lag") == Some(0))

@@ -19,10 +19,16 @@
 #   --ingest-smoke  the incremental-ingestion suite (batch byte-identity
 #                   across thread counts and chaos, crash at every ingest
 #                   seam + resume, span/counter shape, the search/retract
-#                   facade) and the vectordb crate's own tests: the
+#                   facade), the golden-output suite (analyze and ingest
+#                   frames equal the fingerprints pinned from an earlier
+#                   build), the vectordb crate's own tests (the
 #                   reference-scan oracle for the index behind
 #                   demonstration retrieval and the session's document
-#                   index.
+#                   index) and the embed crate's own tests (the embedder
+#                   and its direction table against a string-per-feature
+#                   reference embed, bit for bit: cold, warm, past the
+#                   table's bound, from racing threads and through a
+#                   clone).
 #   --checkpoint-smoke
 #                   the checkpoint/compaction/recovery suite (checkpoint ->
 #                   compact -> kill -> recover cycle at every seam,
@@ -104,9 +110,9 @@ if [[ "$obs_smoke" == 1 ]]; then
 fi
 
 if [[ "$ingest_smoke" == 1 ]]; then
-  echo "==> ingest smoke (batch determinism, crash resume, index maintenance, vectordb crate)"
-  cargo test -q --test ingest_determinism
-  cargo test -q -p allhands-vectordb
+  echo "==> ingest smoke (batch determinism, crash resume, golden outputs, vectordb and embed crates)"
+  cargo test -q --test ingest_determinism --test golden_outputs
+  cargo test -q -p allhands-vectordb -p allhands-embed
 fi
 
 if [[ "$checkpoint_smoke" == 1 ]]; then

@@ -346,6 +346,36 @@ fn huge_search_k_returns_hits_and_the_server_keeps_serving() {
     std::fs::remove_file(&socket).ok();
 }
 
+#[test]
+fn wait_replicated_fails_fast_once_replication_breaks() {
+    let socket = Path::new(env!("CARGO_TARGET_TMPDIR"))
+        .join(format!("serve-broken-{}.sock", std::process::id()));
+    let data_dir = scratch_dir("broken-data");
+    let corpus = Corpus::synthetic(16, 23);
+    // A checkpoint after every batch: the first compaction drops WAL
+    // entries the followers have not replayed (see `ServeOptions::config`).
+    let mut config = tuned();
+    config.checkpoint = CheckpointPolicy { every_n_batches: 1, keep_last_k: 1 };
+    let opts = ServeOptions { followers: 1, config, ..ServeOptions::default() };
+    let server = Server::start(&socket, &data_dir, &corpus, opts).expect("server start failed");
+    let mut client = ServeClient::connect(&socket).expect("client connect failed");
+    client.ingest(&batches()[0]).expect("ingest failed");
+
+    let started = std::time::Instant::now();
+    let err = client
+        .wait_replicated(Duration::from_secs(30))
+        .expect_err("replication cannot drain past a compacted tail");
+    assert!(started.elapsed() < Duration::from_secs(2), "waited {:?}", started.elapsed());
+    let message = err.to_string();
+    assert!(message.contains("replication broken"), "{message}");
+    assert!(message.contains("predates the oldest retained entry"), "{message}");
+
+    client.shutdown().expect("shutdown failed");
+    server.run_until_shutdown();
+    std::fs::remove_dir_all(&data_dir).ok();
+    std::fs::remove_file(&socket).ok();
+}
+
 /// Every follower is at the leader's chain and fingerprint, replication
 /// unbroken.
 fn assert_converged(status: &serde_json::Value) {
